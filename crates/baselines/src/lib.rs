@@ -18,13 +18,20 @@
 //! |------|----------|----------------|
 //! | [`CoarseStm`] | blocking (one global lock) | no (the lock) |
 //! | [`TlStm`]     | blocking (commit-time per-object locks) | **yes** |
-//! | [`Tl2Stm`]    | blocking + global version clock | no (the clock) |
+//! | [`Tl2Stm`]    | blocking + sharded version clock | no (the clock) |
+//!
+//! `TlStm` and `Tl2Stm` are the two instantiations of one engine,
+//! [`LockStm`] (module [`tl`]). They share the versioned lock words, the
+//! commit path, the declared read-only transaction and the forensic
+//! writer stamps, and differ in one compile-time policy: a TL2 writable
+//! transaction samples the clock at `begin` and validates every plain
+//! read against that sample, while a TL one reads no clock and validates
+//! its read-set by version equality at commit.
 
 mod clock;
 pub mod coarse;
 pub mod tl;
-pub mod tl2;
 
+pub use clock::CLOCK_SHARDS;
 pub use coarse::CoarseStm;
-pub use tl::TlStm;
-pub use tl2::Tl2Stm;
+pub use tl::{LockStm, Tl2Stm, TlStm};

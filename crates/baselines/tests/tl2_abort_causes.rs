@@ -3,7 +3,7 @@
 //! every other cause bucket untouched (the taxonomy is a partition —
 //! sibling of the DSTM tests in `oftm-core/tests/cm_forced_conflict.rs`).
 
-use oftm_baselines::tl2::Tl2Stm;
+use oftm_baselines::Tl2Stm;
 use oftm_core::api::WordStm;
 use oftm_histories::TVarId;
 use oftm_obs::{AbortCause, Counter, StatsSnapshot};

@@ -5,7 +5,7 @@
 //! (cause exactness) and `oftm-core/tests/dstm_conflict_edges.rs`
 //! (transaction-exact DSTM edges).
 
-use oftm_baselines::tl2::Tl2Stm;
+use oftm_baselines::Tl2Stm;
 use oftm_core::api::WordStm;
 use oftm_histories::TVarId;
 use oftm_obs::{tx_proc, AbortCause};

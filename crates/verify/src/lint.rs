@@ -386,24 +386,27 @@ fn innermost_span(spans: &[FnSpan], line: usize) -> Option<&FnSpan> {
 
 /// Files whose atomic orderings are protocol-critical: every
 /// `Ordering::…` use there needs an `// ord:` pairing comment.
+const ORDERING_CRITICAL_EXACT: &[&str] = &[
+    "crates/core/src/notify.rs",
+    "crates/core/src/table.rs",
+    "crates/core/src/pool.rs",
+    "crates/core/src/reclaim.rs",
+    "crates/core/src/contention.rs",
+    "crates/core/src/kernel.rs",
+    "crates/baselines/src/tl.rs",
+    "crates/baselines/src/clock.rs",
+];
+/// Directories whose every source file carries the same obligation.
+const ORDERING_CRITICAL_PREFIX: &[&str] = &[
+    "crates/core/src/dstm/",
+    "crates/algo2/src/",
+    "crates/hybrid/src/",
+    "crates/shims/crossbeam-epoch/src/",
+];
+
 fn is_ordering_critical(rel: &str) -> bool {
-    const EXACT: &[&str] = &[
-        "crates/core/src/notify.rs",
-        "crates/core/src/table.rs",
-        "crates/core/src/pool.rs",
-        "crates/core/src/reclaim.rs",
-        "crates/core/src/contention.rs",
-        "crates/core/src/kernel.rs",
-        "crates/baselines/src/tl.rs",
-        "crates/baselines/src/tl2.rs",
-    ];
-    const PREFIX: &[&str] = &[
-        "crates/core/src/dstm/",
-        "crates/algo2/src/",
-        "crates/hybrid/src/",
-        "crates/shims/crossbeam-epoch/src/",
-    ];
-    EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
+    ORDERING_CRITICAL_EXACT.contains(&rel)
+        || ORDERING_CRITICAL_PREFIX.iter().any(|p| rel.starts_with(p))
 }
 
 /// Blessed `std::sync` lock sites: shims (vendored code), the timer wheel
@@ -761,6 +764,21 @@ mod tests {
             !w.contains("next"),
             "window must stop at the balanced close: {w}"
         );
+    }
+
+    #[test]
+    fn ordering_critical_paths_exist() {
+        // A renamed or deleted file would silently drop out of the rule.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("workspace root");
+        for rel in ORDERING_CRITICAL_EXACT
+            .iter()
+            .chain(ORDERING_CRITICAL_PREFIX)
+        {
+            assert!(root.join(rel).exists(), "no such path: {rel}");
+        }
     }
 
     #[test]
