@@ -305,9 +305,23 @@ impl<const SNAPSHOT: bool> LockStm<SNAPSHOT> {
     }
 
     fn reclaim_after_commit(&self, grace: TxGrace, retired: &mut Vec<RetiredBlock>) {
-        let freed = self
-            .reclaim
-            .retire_and_flush(grace, std::mem::take(retired));
+        self.evict(
+            self.reclaim
+                .retire_and_flush(grace, std::mem::take(retired)),
+        );
+    }
+
+    /// Frees every retired block that no active transaction predates —
+    /// all of them once the engine is quiescent. The hybrid's migration
+    /// barrier calls this on the engine it drained: otherwise blocks
+    /// retired just before the switch would wait for a commit on an
+    /// engine that no longer runs any.
+    pub fn flush_retired(&self) {
+        self.evict(self.reclaim.flush());
+    }
+
+    /// Evicts blocks whose grace period has elapsed from the table.
+    fn evict(&self, freed: Vec<RetiredBlock>) {
         if !freed.is_empty() {
             self.stats.incr(Counter::GraceFlushes);
             self.stats.add(

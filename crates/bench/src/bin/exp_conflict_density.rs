@@ -10,8 +10,10 @@
 //! * `tl`: zero unrelated conflicts (strictly DAP — the paper's Section 1
 //!   claim about two-phase-locking TMs);
 //! * `tl2`: unrelated conflicts on the global clock;
-//! * `dstm`: unrelated conflicts on shared transaction descriptors
-//!   (Theorem 13's inevitability, visible statistically);
+//! * `dstm`: unrelated conflicts on the global commit counter, which
+//!   every writing commit modifies (a design choice that gives up weak
+//!   DAP for O(1) reads), and (rarely caught) on shared transaction
+//!   descriptors (Theorem 13's inevitability);
 //! * `coarse`: everything conflicts (the lock).
 
 use oftm_bench::{make_stm, print_header, print_row};
@@ -67,7 +69,7 @@ fn main() {
     }
 
     println!("\nReading: TL shows 0 unrelated conflicts (strictly DAP). TL2's clock and");
-    println!("DSTM's descriptors make t-variable-disjoint transactions collide — the");
-    println!("\"useless cache invalidations\" of Section 5, and for the OFTM the");
-    println!("unavoidable cost proven by Theorem 13.");
+    println!("DSTM's commit counter make t-variable-disjoint transactions collide — the");
+    println!("\"useless cache invalidations\" of Section 5, a choice that gives up even weak");
+    println!("DAP. DSTM's shared descriptors are the part Theorem 13 proves unavoidable.");
 }

@@ -24,7 +24,15 @@
 //! * `intset-write-heavy` — 50% `insert`, 50% `remove`: allocation,
 //!   retirement and commit-lock churn;
 //! * `mixed-map` — 40% `put`, 20% `del`, 40% `get` on a bucketed map:
-//!   point ops, two-level traversal.
+//!   point ops, two-level traversal;
+//! * `scan-vs-writers` — one thread scans the whole set as declared
+//!   read-only transactions while every other thread commits blind
+//!   writes to a t-variable of its own, which no scan reads. Nothing
+//!   conflicts, but commits land throughout every scan: DSTM's global
+//!   commit counter moves mid-scan and the scan re-probes its read-set,
+//!   the case in which the counter saves nothing. At 1 thread no writer
+//!   runs. The cell is timed (like the phase-shift cells) and counts
+//!   scans only.
 //!
 //! Usage:
 //!
@@ -66,9 +74,9 @@ const PHASE_NAMES: &[&str] = &[
     "contention-phase-shift-low2",
 ];
 
-/// STMs in the phase-shift table. Algorithm 2 is excluded: its
-/// per-variable version chains under a sustained forced-preemption storm
-/// grow without bound within a phase (the paper calls the construction
+/// STMs in the timed tables (phase shift, scan-vs-writers). Algorithm 2
+/// is excluded: its per-variable version chains under sustained writers
+/// grow without bound within a cell (the paper calls the construction
 /// "rather impractical"; here it would only measure chain-walking).
 const PHASE_SHIFT_STMS: &[&str] = &["dstm", "tl", "tl2", "coarse", "hybrid"];
 
@@ -162,6 +170,74 @@ fn run_shift_phase(
         start.elapsed().as_secs_f64(),
         livelocked.load(std::sync::atomic::Ordering::Relaxed),
     )
+}
+
+/// The `scan-vs-writers` cell (see the module docs): thread 0 scans for
+/// `dur` while threads `1..threads` commit blind writes until it stops.
+fn measure_scan_vs_writers(stm_name: &'static str, threads: usize, dur: Duration) -> Cell {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let stm = make_stm(stm_name, None);
+    let set = TxIntSet::create(&*stm);
+    for v in (0..128).step_by(2) {
+        set.insert(&*stm, u32::MAX - 2, v);
+    }
+    let own = stm.alloc_tvar_block(&vec![0; threads]);
+    let run = |dur: Duration| {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 1..threads {
+                let (stm, stop) = (&*stm, &stop);
+                s.spawn(move || {
+                    let x = TVarId(own.0 + t as u64);
+                    let mut n = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        n += 1;
+                        let w = run_transaction_with_budget(stm, t as u32, ATTEMPT_BUDGET, |tx| {
+                            tx.write(x, n)
+                        });
+                        if w.is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            let start = Instant::now();
+            let (mut scans, mut attempts, mut livelocked) = (0u64, 0u64, false);
+            while start.elapsed() < dur {
+                match atomically_ro_budgeted(&*stm, 0, ATTEMPT_BUDGET, |ctx| {
+                    set.snapshot_in(ctx).map(|_| ())
+                }) {
+                    Ok((_, a)) => {
+                        scans += 1;
+                        attempts += u64::from(a);
+                    }
+                    Err(_) => {
+                        livelocked = true;
+                        break;
+                    }
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            (scans, attempts, start.elapsed().as_secs_f64(), livelocked)
+        })
+    };
+    let warm_livelock = run(dur / 4).3;
+    let stats_base = stm.stats().snapshot();
+    stm.forensics().reset();
+    let (ops, attempts, elapsed_s, livelocked) = run(dur);
+    Cell {
+        scenario: "scan-vs-writers",
+        stm: stm_name,
+        threads,
+        ops,
+        elapsed_s,
+        attempts,
+        livelocked: livelocked || warm_livelock,
+        profile: "full",
+        stats: oftm_bench::stats_since(&*stm, &stats_base),
+        hot_vars: stm.forensics().hot_vars_json(8),
+        hot_edges: stm.forensics().hot_edges_json(8),
+    }
 }
 
 /// Runs the three phases back-to-back on one instance and returns one
@@ -492,6 +568,24 @@ fn main() {
                 ]);
                 cells.push(cell);
             }
+        }
+    }
+
+    for &stm_name in PHASE_SHIFT_STMS {
+        for &threads in thread_axis {
+            let cell = measure_scan_vs_writers(stm_name, threads, Duration::from_millis(phase_ms));
+            oftm_bench::print_row(&[
+                cell.scenario.to_string(),
+                cell.stm.to_string(),
+                cell.threads.to_string(),
+                if cell.livelocked {
+                    "LIVELOCK".into()
+                } else {
+                    format!("{:.0}", cell.ops_per_sec())
+                },
+                format!("{:.2}", cell.attempts_per_op()),
+            ]);
+            cells.push(cell);
         }
     }
 

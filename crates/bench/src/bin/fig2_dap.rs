@@ -107,7 +107,8 @@ violating strict DAP, which is Theorem 13's point).\n",
         println!("  (none — unexpected for an OFTM; see Theorem 13)");
     } else {
         println!(
-            "\n{} violating pairs — the descriptor hot spot predicted by Section 5.",
+            "\n{} violating pairs — the descriptor hot spot predicted by Section 5, plus
+the commit counter that both writing commits modify.",
             viols.len()
         );
     }

@@ -8,9 +8,9 @@ use crate::api::{TxError, TxResult};
 use crate::cm::{Aggressive, ContentionManager};
 use crate::pool::SlotPool;
 use crate::record::Recorder;
-use oftm_histories::{TVarId, TxId};
+use oftm_histories::{BaseObjId, TVarId, TxId};
 use oftm_obs::{Counter, StmStats};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,6 +29,58 @@ pub enum Progress {
     EventualGrace(Duration),
 }
 
+/// The global commit counter (Spear et al.'s commit-counter heuristic,
+/// DISC 2006): every writing commit increments it before its terminal
+/// validation, so a transaction that finds it unchanged since its last
+/// validation knows no update committed in between and skips re-probing
+/// its read-set. It is one shared word that every writing commit
+/// modifies, so two t-variable-disjoint writers conflict on it with no
+/// transaction linking them: DSTM gives up weak DAP, not only the
+/// strict DAP that Theorem 13 already rules out (without the counter,
+/// disjoint transactions met only on the descriptor of a transaction
+/// conflicting with both). Losing weak DAP is what lets reads escape the
+/// Ω(m²) validation bound of invisible-read progressive TMs.
+///
+/// On its own cache line: the counter is the one word every committer
+/// and every validating reader touches.
+#[repr(align(64))]
+pub(crate) struct CommitCounter {
+    count: AtomicU64,
+    /// Base-object identity of the counter in recorded histories.
+    pub(crate) base: BaseObjId,
+}
+
+impl CommitCounter {
+    fn new() -> Self {
+        CommitCounter {
+            count: AtomicU64::new(0),
+            base: crate::record::fresh_base_id(),
+        }
+    }
+
+    /// Samples the counter.
+    pub(crate) fn load(&self) -> u64 {
+        // ord: Acquire pairs with the writers' AcqRel `fetch_add` in
+        // `bump`: a sample that sees a writer's increment also sees every
+        // locator that writer installed, so the validation that follows
+        // probes them. A reader that Acquire-loads a writer's `Committed`
+        // status synchronizes with its status CAS, which the `fetch_add`
+        // happens-before, so its next sample sees the increment.
+        self.count.load(Ordering::Acquire)
+    }
+
+    /// Announces a writing commit; returns the previous value. An RMW,
+    /// not a load: of two crossing writers, the one that increments
+    /// second sees the other's increment and validates.
+    pub(crate) fn bump(&self) -> u64 {
+        // ord: AcqRel — Release publishes our locator installs to `load`'s
+        // Acquire and happens-before our status CAS, which a reader's
+        // Acquire load of `Committed` synchronizes with; Acquire shows
+        // earlier writers' installs to our terminal validation.
+        self.count.fetch_add(1, Ordering::AcqRel)
+    }
+}
+
 /// A DSTM-style obstruction-free software transactional memory.
 ///
 /// Create one instance per logical memory; create t-variables with
@@ -44,6 +96,9 @@ pub struct Dstm {
     /// Pooled read-set buffers (keyed by process), recycled across
     /// transactions so the steady state allocates nothing per attempt.
     read_scratch: SlotPool<Vec<ReadEntry>>,
+    /// Writing commits so far; lets a validation with nothing new to see
+    /// skip its read-set probes (see [`CommitCounter`]).
+    commits: CommitCounter,
     /// Always-on telemetry: begins/commits/aborts-by-cause and latency
     /// histograms. Shared with the word-level adapter ([`super::word`]),
     /// so one registry covers both API layers of this instance. Behind an
@@ -70,6 +125,7 @@ impl Dstm {
             tx_seq: AtomicU32::new(0),
             tvar_seq: AtomicU32::new(0),
             read_scratch: SlotPool::new(),
+            commits: CommitCounter::new(),
             stats: Arc::new(StmStats::new()),
         }
     }
@@ -96,6 +152,11 @@ impl Dstm {
     /// always safe and never perturbs transactions.
     pub fn stats(&self) -> &StmStats {
         &self.stats
+    }
+
+    /// The global commit counter.
+    pub(crate) fn commits(&self) -> &CommitCounter {
+        &self.commits
     }
 
     /// Pops a pooled read-set buffer (empty, warm capacity).
@@ -326,6 +387,51 @@ mod tests {
             }
         });
         assert_eq!(a.read_atomic() + b.read_atomic(), 1000);
+    }
+
+    #[test]
+    fn concurrent_crossing_writers_never_commit_write_skew() {
+        // Round r: two transactions read x and y and, seeing both <= r,
+        // set their own one to r + 1. The commits cross; serializability
+        // lets only the first see both <= r. A writing commit that
+        // samples the counter instead of incrementing it lets both skip
+        // validation and both write (a write skew).
+        const ROUNDS: u64 = 20_000;
+        let stm = Dstm::default();
+        let (x, y) = (stm.new_tvar(0u64), stm.new_tvar(0u64));
+        let arrived = AtomicU64::new(0);
+        let wrote: Vec<Vec<bool>> = std::thread::scope(|s| {
+            let workers: Vec<_> = [&x, &y]
+                .into_iter()
+                .enumerate()
+                .map(|(p, mine)| {
+                    let (stm, x, y, arrived) = (&stm, &x, &y, &arrived);
+                    s.spawn(move || {
+                        (0..ROUNDS)
+                            .map(|r| {
+                                // ord: SeqCst — test-only spin barrier.
+                                arrived.fetch_add(1, Ordering::SeqCst);
+                                // ord: SeqCst — test-only spin barrier.
+                                while arrived.load(Ordering::SeqCst) < 2 * (r + 1) {
+                                    std::thread::yield_now();
+                                }
+                                stm.atomically(p as u32, |tx| {
+                                    let free = tx.read(x)? <= r && tx.read(y)? <= r;
+                                    if free {
+                                        tx.write(mine, r + 1)?;
+                                    }
+                                    Ok(free)
+                                })
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (r, (a, b)) in wrote[0].iter().zip(&wrote[1]).enumerate() {
+            assert!(!(a & b), "write skew in round {r}");
+        }
     }
 
     #[test]

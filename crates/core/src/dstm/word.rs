@@ -12,8 +12,10 @@
 //! `try_commit` (detect-on-commit). Progress is the backend's usual
 //! obstruction-freedom — reads may still have to abort a live writer via
 //! the contention manager — and consistency still comes from incremental
-//! revalidation (invisible reads have no snapshot clock), so a read costs
-//! O(|read-set|); cheaper than the write path, but not wait-free.
+//! revalidation (invisible reads have no snapshot clock). A read costs
+//! O(1) while no update commits and O(|read-set|) once per update commit
+//! it observes (the revalidation runs only when the engine's commit
+//! counter moved); cheaper than the write path, but not wait-free.
 
 use super::stm::Dstm;
 use super::tvar::TVar;
@@ -86,7 +88,18 @@ impl DstmWord {
     }
 
     fn reclaim_after_commit(&self, grace: TxGrace, retired: Vec<RetiredBlock>) {
-        let freed = self.reclaim.retire_and_flush(grace, retired);
+        self.evict(self.reclaim.retire_and_flush(grace, retired));
+    }
+
+    /// Frees every retired block that no active transaction predates —
+    /// all of them once the engine is quiescent (the hybrid's migration
+    /// barrier calls this on the engine it drained).
+    pub fn flush_retired(&self) {
+        self.evict(self.reclaim.flush());
+    }
+
+    /// Evicts blocks whose grace period has elapsed from the table.
+    fn evict(&self, freed: Vec<RetiredBlock>) {
         if !freed.is_empty() {
             let stats = self.stm.stats();
             stats.incr(Counter::GraceFlushes);
@@ -119,7 +132,6 @@ impl DstmWord {
             retired: Vec::new(),
             touched: scratch.touched,
             written: scratch.written,
-            last_var: None,
             ro,
             pin: crossbeam_epoch::pin(),
         })
@@ -139,31 +151,17 @@ struct DstmWordTx<'s> {
     /// Ids written; published to the commit notifier on a successful
     /// commit.
     written: Vec<TVarId>,
-    /// Last resolved variable handle: collection code reads a link and
-    /// immediately writes it back (the upgrade pattern), so a one-entry
-    /// cache removes the second table probe.
-    last_var: Option<(TVarId, TVar<Value>)>,
     /// Declared read-only: writes and retires panic (caller bug), and the
     /// commit takes the CAS-free read-only completion unconditionally.
     ro: bool,
-    /// Adapter-lifetime epoch pin threaded through table lookups (the
-    /// typed transaction holds its own for locator protection).
+    /// Adapter-lifetime epoch pin under which t-variables are resolved by
+    /// reference: eviction drops the table's `Arc` only after the pin is
+    /// released. The typed transaction holds its own for locator
+    /// protection.
     pin: crossbeam_epoch::Guard,
 }
 
 impl DstmWordTx<'_> {
-    /// Resolves `x` through the one-entry handle cache.
-    fn var(&mut self, x: TVarId) -> TVar<Value> {
-        if let Some((cached, var)) = &self.last_var {
-            if *cached == x {
-                return TVar::clone(var);
-            }
-        }
-        let var = TVar::clone(&self.word.vars.get_or_panic_in(x, &self.pin));
-        self.last_var = Some((x, TVar::clone(&var)));
-        var
-    }
-
     fn record_invoke(&self, op: TmOp) {
         if let (Some(rec), Some(tx)) = (self.word.stm.recorder_arc(), self.tx.as_ref()) {
             rec.invoke(tx.id(), op);
@@ -183,11 +181,11 @@ impl WordTx for DstmWordTx<'_> {
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        let var = self.var(x);
+        let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
         self.touched.push(x);
         self.record_invoke(TmOp::Read(x));
         let id = self.id();
-        let r = self.tx.as_mut().unwrap().read(&var);
+        let r = self.tx.as_mut().unwrap().read(var);
         match &r {
             Ok(v) => self.record_respond(id, TmResp::Value(*v)),
             Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),
@@ -197,12 +195,12 @@ impl WordTx for DstmWordTx<'_> {
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         assert!(!self.ro, "dstm: write on a declared read-only transaction");
-        let var = self.var(x);
+        let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
         self.touched.push(x);
         self.written.push(x);
         self.record_invoke(TmOp::Write(x, v));
         let id = self.id();
-        let r = self.tx.as_mut().unwrap().write(&var, v);
+        let r = self.tx.as_mut().unwrap().write(var, v);
         match &r {
             Ok(()) => self.record_respond(id, TmResp::Ok),
             Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),

@@ -223,11 +223,8 @@ pub struct HybridStm {
     mode: AtomicUsize,
     /// A migration is in progress: begins back off, at most one migrator.
     migrating: AtomicBool,
-    /// In-flight transactions per mode; the migration barrier drains the
-    /// outgoing slot to zero.
-    active: [AtomicU64; 2],
-    /// Begins observed — the controller's logical clock.
-    ops: AtomicU64,
+    /// The words every begin writes.
+    begins: BeginCounters,
     /// Next window boundary (in begins), claimed by CAS.
     next_window: AtomicU64,
     /// `ops` value at the last migration (dwell reference);
@@ -241,6 +238,19 @@ pub struct HybridStm {
     /// policy. Taken only by the single window-closing thread and by
     /// escalation-profile checks (uncontended in practice).
     window_prev: Mutex<StatsSnapshotBox>,
+}
+
+/// The controller words every begin writes, on a cache line of their
+/// own. The engines are stored inline, so without the padding this line
+/// would also hold whichever read-mostly fields the compiler laid out
+/// next to it, and every begin would evict them from the other cores.
+#[repr(align(64))]
+struct BeginCounters {
+    /// In-flight transactions per mode; the migration barrier drains the
+    /// outgoing slot to zero.
+    active: [AtomicU64; 2],
+    /// Begins observed — the controller's logical clock.
+    ops: AtomicU64,
 }
 
 /// Newtype so the `Mutex` field above names a sized default.
@@ -280,8 +290,10 @@ impl HybridStm {
             cfg,
             mode: AtomicUsize::new(Mode::Tl2 as usize),
             migrating: AtomicBool::new(false),
-            active: [AtomicU64::new(0), AtomicU64::new(0)],
-            ops: AtomicU64::new(0),
+            begins: BeginCounters {
+                active: [AtomicU64::new(0), AtomicU64::new(0)],
+                ops: AtomicU64::new(0),
+            },
             next_window: AtomicU64::new(cfg.window_ops.max(1)),
             last_migration_op: AtomicU64::new(u64::MAX),
             calm_windows: AtomicU32::new(0),
@@ -315,7 +327,7 @@ impl HybridStm {
     fn note_begin(&self, proc: u32) {
         // ord: Relaxed — the controller's logical clock; atomicity alone
         // keeps window claims disjoint.
-        let op = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
+        let op = self.begins.ops.fetch_add(1, Ordering::Relaxed) + 1;
         if self.mode() == Mode::Tl2 {
             let slot = &self.consec_aborts[(proc as usize) & (PROC_SLOTS - 1)];
             // ord: Relaxed — a heuristic trigger; worst case the request
@@ -438,8 +450,16 @@ impl HybridStm {
         // and back off, so the count is monotonically non-increasing.
         // ord: SeqCst — pairs with the beginner's SeqCst fetch_add:
         // either we see their count, or they see our flag.
-        while self.active[from as usize].load(Ordering::SeqCst) > 0 {
+        while self.begins.active[from as usize].load(Ordering::SeqCst) > 0 {
             std::thread::yield_now();
+        }
+        // Blocks the outgoing engine retired while a predating reader was
+        // in flight wait in its grace tracker, which only its own commits
+        // flush. It is quiescent now and will run no commit until the
+        // next migration back: free them here.
+        match from {
+            Mode::Tl2 => self.tl2.flush_retired(),
+            Mode::Dstm => self.dstm.flush_retired(),
         }
         self.copy_values(from);
         // ord: SeqCst — publish the new mode before lifting the flag.
@@ -447,7 +467,7 @@ impl HybridStm {
         self.stats.set_mode(target.stats_tag());
         self.stats.incr(Counter::ModeMigrations);
         self.last_migration_op
-            .store(self.ops.load(Ordering::Relaxed), Ordering::Relaxed);
+            .store(self.begins.ops.load(Ordering::Relaxed), Ordering::Relaxed);
         self.calm_windows.store(0, Ordering::Relaxed);
         for slot in &self.consec_aborts {
             // ord: Relaxed — heuristic counters; resets published lazily.
@@ -511,11 +531,11 @@ impl HybridStm {
             // ord: SeqCst — the beginner side of the Dekker handshake:
             // our count must be globally ordered against the migrator's
             // flag store before we re-read it.
-            self.active[m as usize].fetch_add(1, Ordering::SeqCst);
+            self.begins.active[m as usize].fetch_add(1, Ordering::SeqCst);
             if self.migrating.load(Ordering::SeqCst) || self.mode() != m {
                 // ord: SeqCst — symmetric retreat; the migrator's drain
                 // loop may be watching this count.
-                self.active[m as usize].fetch_sub(1, Ordering::SeqCst);
+                self.begins.active[m as usize].fetch_sub(1, Ordering::SeqCst);
                 std::thread::yield_now();
                 continue;
             }
@@ -655,7 +675,7 @@ impl Drop for HybridTx<'_> {
         // zero count as "the outgoing engine is quiescent".
         self.inner = None;
         // ord: SeqCst — pairs with the migrator's SeqCst drain loads.
-        self.stm.active[self.mode as usize].fetch_sub(1, Ordering::SeqCst);
+        self.stm.begins.active[self.mode as usize].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -880,6 +900,26 @@ mod tests {
         assert_eq!(s.mode(), Mode::Tl2, "calm traffic must return to TL2");
         assert_eq!(s.peek(blk2), Some(43));
         assert_eq!(s.peek(TVarId(blk.0 + 1)), Some(80));
+    }
+
+    #[test]
+    fn migration_frees_blocks_the_outgoing_engine_still_held() {
+        let s = stm(HybridConfig::default());
+        let blk = s.alloc_tvar_block(&[1, 2]);
+        let live = s.live_tvars();
+        // A reader in flight across the retiring commit parks the block
+        // in the TL2 engine's grace tracker.
+        let reader = s.begin(1);
+        let mut tx = s.begin(2);
+        tx.write(X, 1).unwrap();
+        tx.retire_tvar_block(blk, 2);
+        tx.try_commit().unwrap();
+        reader.try_abort();
+        assert_eq!(s.live_tvars(), live, "grace period holds the block");
+        // No TL2 commit follows the switch: only the barrier can free it.
+        assert!(s.try_migrate(Mode::Dstm, 0));
+        assert_eq!(s.live_tvars(), live - 2);
+        assert_eq!(s.tl2.peek(blk), None);
     }
 
     #[test]
