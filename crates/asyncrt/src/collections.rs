@@ -1,19 +1,35 @@
 //! Async façades over the `oftm-structs` collections: every operation is
 //! a future that runs one parked-retry transaction
-//! ([`crate::atomically_async`]) around the corresponding `*_in`
+//! ([`crate::transact_async`]) around the corresponding `*_in`
 //! primitive.
 //!
 //! The wrappers are deliberately thin — each holds the `Copy`able
 //! collection handle — and the `*_in` primitives remain available through
-//! [`crate::atomically_async`] for *composed* transactions (e.g. the
+//! [`crate::transact_async`] for *composed* transactions (e.g. the
 //! atomic two-queue transfer below), which is where transactions earn
 //! their keep over per-operation locks.
 
-use crate::ctx::{atomically_async, atomically_async_ro};
-use crate::future::Committed;
-use oftm_core::api::WordStm;
+use crate::future::{transact_async, Committed};
+use oftm_core::api::{TxCtx, TxOpts, TxResult, WordStm};
 use oftm_histories::Value;
 use oftm_structs::{TxHashMap, TxIntSet, TxQueue};
+
+/// Runs one operation to commit (`u32::MAX` attempts; exhausting them
+/// panics, as the sync collections do). Read-only operations never park.
+async fn run<R>(
+    stm: &dyn WordStm,
+    proc: u32,
+    ro: bool,
+    body: impl FnMut(&mut TxCtx<'_>) -> TxResult<R> + Unpin,
+) -> Committed<R> {
+    let opts = TxOpts {
+        ro,
+        ..TxOpts::default()
+    };
+    transact_async(stm, proc, opts, body)
+        .await
+        .unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// Async sorted-list integer set (see [`TxIntSet`]).
 #[derive(Clone, Copy, Debug)]
@@ -26,25 +42,24 @@ impl AsyncIntSet {
 
     pub async fn insert(&self, stm: &dyn WordStm, proc: u32, v: u64) -> Committed<bool> {
         let set = self.0;
-        atomically_async(stm, proc, move |ctx| set.insert_in(ctx, v)).await
+        run(stm, proc, false, move |ctx| set.insert_in(ctx, v)).await
     }
 
     pub async fn remove(&self, stm: &dyn WordStm, proc: u32, v: u64) -> Committed<bool> {
         let set = self.0;
-        atomically_async(stm, proc, move |ctx| set.remove_in(ctx, v)).await
+        run(stm, proc, false, move |ctx| set.remove_in(ctx, v)).await
     }
 
-    /// Runs as a read-only transaction (never parks — see
-    /// [`crate::run_transaction_async_ro`]).
+    /// Runs as a read-only transaction (never parks).
     pub async fn contains(&self, stm: &dyn WordStm, proc: u32, v: u64) -> Committed<bool> {
         let set = self.0;
-        atomically_async_ro(stm, proc, move |ctx| set.contains_in(ctx, v)).await
+        run(stm, proc, true, move |ctx| set.contains_in(ctx, v)).await
     }
 
     /// Runs as a read-only transaction (never parks).
     pub async fn snapshot(&self, stm: &dyn WordStm, proc: u32) -> Committed<Vec<u64>> {
         let set = self.0;
-        atomically_async_ro(stm, proc, move |ctx| set.snapshot_in(ctx)).await
+        run(stm, proc, true, move |ctx| set.snapshot_in(ctx)).await
     }
 }
 
@@ -65,18 +80,18 @@ impl AsyncHashMap {
         value: Value,
     ) -> Committed<Option<Value>> {
         let map = self.0;
-        atomically_async(stm, proc, move |ctx| map.put_in(ctx, key, value)).await
+        run(stm, proc, false, move |ctx| map.put_in(ctx, key, value)).await
     }
 
     pub async fn remove(&self, stm: &dyn WordStm, proc: u32, key: u64) -> Committed<Option<Value>> {
         let map = self.0;
-        atomically_async(stm, proc, move |ctx| map.remove_in(ctx, key)).await
+        run(stm, proc, false, move |ctx| map.remove_in(ctx, key)).await
     }
 
     /// Runs as a read-only transaction (never parks).
     pub async fn get(&self, stm: &dyn WordStm, proc: u32, key: u64) -> Committed<Option<Value>> {
         let map = self.0;
-        atomically_async_ro(stm, proc, move |ctx| map.get_in(ctx, key)).await
+        run(stm, proc, true, move |ctx| map.get_in(ctx, key)).await
     }
 }
 
@@ -91,12 +106,12 @@ impl AsyncQueue {
 
     pub async fn enqueue(&self, stm: &dyn WordStm, proc: u32, v: Value) -> Committed<()> {
         let q = self.0;
-        atomically_async(stm, proc, move |ctx| q.enqueue_in(ctx, v)).await
+        run(stm, proc, false, move |ctx| q.enqueue_in(ctx, v)).await
     }
 
     pub async fn dequeue(&self, stm: &dyn WordStm, proc: u32) -> Committed<Option<Value>> {
         let q = self.0;
-        atomically_async(stm, proc, move |ctx| q.dequeue_in(ctx)).await
+        run(stm, proc, false, move |ctx| q.dequeue_in(ctx)).await
     }
 
     /// Atomically moves the front of `self` onto the back of `to` in one
@@ -110,7 +125,7 @@ impl AsyncQueue {
     ) -> Committed<Option<Value>> {
         let src = self.0;
         let dst = to.0;
-        atomically_async(stm, proc, move |ctx| {
+        run(stm, proc, false, move |ctx| {
             let v = src.dequeue_in(ctx)?;
             if let Some(v) = v {
                 dst.enqueue_in(ctx, v)?;

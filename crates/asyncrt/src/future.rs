@@ -1,6 +1,9 @@
-//! The transaction futures: retry-until-commit as a `Future`, with
+//! The async driver: retry-until-commit as a `Future`, with
 //! **wake-on-commit parking** instead of spin backoff between aborted
-//! attempts.
+//! attempts. It runs the same [`TxCtx`] bodies with the same [`TxOpts`]
+//! as the sync driver ([`oftm_core::api::transact`]), through the same
+//! attempt lifecycle ([`Attempts`]), so attempt counts, retry counters,
+//! latency samples, `attempt` spans and abort-path frees agree.
 //!
 //! A poll runs whole attempts synchronously — `begin`, body, `tryC` — so
 //! a transaction never holds STM state across an await point (a
@@ -9,12 +12,12 @@
 //! attempt's *footprint* ([`oftm_core::api::WordTx::footprint`]), and the
 //! [`WaitSnapshot`] of the park protocol.
 //!
-//! The per-abort decision tree (one policy with the sync loops — see
+//! The per-abort decision tree (one policy with the sync driver — see
 //! [`oftm_core::contention`]):
 //!
-//! 1. the first [`ContentionPolicy::immediate_retries`] consecutive
-//!    aborts re-run inline — the conflicting commit usually *just*
-//!    happened, so an immediate re-run sees the new world;
+//! 1. the first [`IMMEDIATE_RETRIES`] consecutive aborts re-run inline —
+//!    the conflicting commit usually *just* happened, so an immediate
+//!    re-run sees the new world;
 //! 2. otherwise the future parks: snapshot the footprint's notification
 //!    shards, register the task's [`Waker`] with the STM's
 //!    [`CommitNotifier`], arm the watchdog timeout
@@ -30,12 +33,12 @@
 //! `Pending`) so a contended executor still interleaves other tasks.
 
 use crate::timer;
-use oftm_core::api::{TxResult, WordStm, WordTx};
-use oftm_core::contention::ContentionPolicy;
+use oftm_core::api::{Attempts, TxCtx, TxOpts, TxResult, WordStm, WordTx};
+use oftm_core::contention::{park_timeout, IMMEDIATE_RETRIES};
 use oftm_core::notify::WaitSnapshot;
-use oftm_core::{BudgetExceeded, TxError};
+use oftm_core::BudgetExceeded;
 use oftm_histories::TVarId;
-use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
+use oftm_obs::Counter;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
@@ -44,7 +47,7 @@ use std::task::{Context, Poll, Waker};
 use oftm_core::notify::CommitNotifier;
 
 /// A committed async transaction: the body's result plus the retry
-/// accounting, reported with the same meaning as the sync loops'
+/// accounting, reported with the same meaning as the sync driver's
 /// `(result, attempts)` pairs (one attempt per `begin`).
 #[derive(Clone, Copy, Debug)]
 pub struct Committed<R> {
@@ -55,14 +58,10 @@ pub struct Committed<R> {
     pub parks: u32,
 }
 
-/// Cross-poll retry state shared by [`TxFuture`] and the collection-level
-/// future in [`crate::ctx`].
+/// Cross-poll retry state of a [`TxFuture`]: the attempt lifecycle plus
+/// the park protocol's state.
 pub(crate) struct ParkCore<'s> {
-    pub stm: &'s dyn WordStm,
-    pub proc: u32,
-    pub policy: ContentionPolicy,
-    pub max_attempts: u32,
-    pub attempts: u32,
+    pub run: Attempts<'s>,
     consecutive_aborts: u32,
     parks: u32,
     footprint: Vec<TVarId>,
@@ -81,35 +80,19 @@ pub(crate) struct ParkCore<'s> {
     /// Ring-clock start of the current park: emitted as a `"park"` span
     /// on the meaningful wake (only when tracing is enabled).
     park_started_ns: Option<u64>,
-    /// When the in-flight attempt began; feeds the attempt-latency
-    /// histogram when the attempt's fate settles ([`ParkCore::end_attempt`]).
-    attempt_started: Option<std::time::Instant>,
-    /// Attempts begin via [`WordStm::begin_ro`], and aborts never park:
-    /// a read-only abort means a conflicting commit *just* landed, so the
-    /// immediate re-run observes the new snapshot and (on the wait-free
-    /// backends) cannot abort the same way again — parking would trade
-    /// that certain progress for a wake round-trip. Past the immediate-
-    /// retry budget the future yields (self-wake) instead of parking, so
-    /// a contended executor still interleaves peers.
-    read_only: bool,
-}
-
-/// What the poll loop does after an aborted attempt.
-pub(crate) enum AfterAbort {
-    /// Re-run the attempt inside this same poll.
-    RetryNow,
-    /// Return `Pending`; a wake (commit or watchdog) re-polls.
-    Pend,
 }
 
 impl<'s> ParkCore<'s> {
-    pub fn new(stm: &'s dyn WordStm, proc: u32, max_attempts: u32) -> Self {
+    /// With `opts.ro`, aborts never park: a read-only abort means a
+    /// conflicting commit *just* landed, so the immediate re-run observes
+    /// the new snapshot and (on the wait-free backends) cannot abort the
+    /// same way again — parking would trade that certain progress for a
+    /// wake round-trip. Past the immediate retries the future yields
+    /// (self-wake) instead of parking, so a contended executor still
+    /// interleaves peers.
+    pub fn new(stm: &'s dyn WordStm, proc: u32, opts: TxOpts) -> Self {
         ParkCore {
-            stm,
-            proc,
-            policy: ContentionPolicy::default(),
-            max_attempts,
-            attempts: 0,
+            run: Attempts::new(stm, proc, opts),
             consecutive_aborts: 0,
             parks: 0,
             footprint: Vec::new(),
@@ -117,16 +100,6 @@ impl<'s> ParkCore<'s> {
             parked_until: None,
             parked_at: None,
             park_started_ns: None,
-            attempt_started: None,
-            read_only: false,
-        }
-    }
-
-    /// Read-only retry core: see the `read_only` field docs.
-    pub fn new_ro(stm: &'s dyn WordStm, proc: u32, max_attempts: u32) -> Self {
-        ParkCore {
-            read_only: true,
-            ..Self::new(stm, proc, max_attempts)
         }
     }
 
@@ -141,8 +114,8 @@ impl<'s> ParkCore<'s> {
         match self.parked_until {
             None => true,
             Some(deadline) => {
-                let stats = self.stm.stats();
-                if self.stm.notifier().changed_since(&self.snap)
+                let stats = self.run.stm.stats();
+                if self.run.stm.notifier().changed_since(&self.snap)
                     || std::time::Instant::now() >= deadline
                 {
                     self.parked_until = None;
@@ -154,7 +127,7 @@ impl<'s> ParkCore<'s> {
                         oftm_obs::ring::emit_span(
                             "park",
                             "async_park_core",
-                            u64::from(self.proc),
+                            u64::from(self.run.proc),
                             u64::from(self.parks),
                             t0,
                         );
@@ -165,52 +138,6 @@ impl<'s> ParkCore<'s> {
                     false
                 }
             }
-        }
-    }
-
-    /// True once the retry budget is spent.
-    pub fn exhausted(&self) -> bool {
-        self.attempts >= self.max_attempts
-    }
-
-    pub fn begin_attempt(&mut self) -> Box<dyn WordTx + 's> {
-        if self.attempts > 0 {
-            self.stm.stats().incr(Counter::Retries);
-        }
-        self.attempts += 1;
-        self.footprint.clear();
-        self.attempt_started = Some(std::time::Instant::now());
-        if self.read_only {
-            self.stm.begin_ro(self.proc)
-        } else {
-            self.stm.begin(self.proc)
-        }
-    }
-
-    /// Records the attempt-latency sample once the attempt's fate is
-    /// settled (committed, or aborted and its transaction dropped). Parks
-    /// happen between attempts, so park time never inflates the sample.
-    pub fn end_attempt(&mut self) {
-        if let Some(at) = self.attempt_started.take() {
-            self.stm
-                .stats()
-                .record_attempt_ns(at.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Tags the spent retry budget on the cause taxonomy (the async
-    /// analogue of the sync loops' budget accounting).
-    pub fn budget_exhausted(&self) -> BudgetExceeded {
-        // No conflicting variable and no aggressor: the budget ran out
-        // across attempts that each tagged their own cause already.
-        self.stm.stats().abort_at(
-            AbortCause::BudgetExhausted,
-            VarAttr::NoVar,
-            pack_tx(self.proc, self.max_attempts),
-            TX_UNKNOWN,
-        );
-        BudgetExceeded {
-            attempts: self.max_attempts,
         }
     }
 
@@ -231,48 +158,47 @@ impl<'s> ParkCore<'s> {
     pub fn committed<R>(&self, value: R) -> Committed<R> {
         Committed {
             value,
-            attempts: self.attempts,
+            attempts: self.run.count(),
             parks: self.parks,
         }
     }
 
     /// The park protocol (see module docs). `waker` is the polling task's.
-    pub fn after_abort(&mut self, waker: &Waker) -> AfterAbort {
+    /// `Ready`: re-run inside this same poll. `Pending`: return `Pending`;
+    /// a wake (commit, watchdog or self-wake) re-polls.
+    pub fn after_abort(&mut self, waker: &Waker) -> Poll<()> {
         self.consecutive_aborts += 1;
-        if self.policy.retry_immediately(self.consecutive_aborts) {
-            return AfterAbort::RetryNow;
+        if self.consecutive_aborts <= IMMEDIATE_RETRIES {
+            return Poll::Ready(());
         }
-        if self.read_only {
-            // Read-only futures never park (see the field docs): yield so
-            // the executor can interleave, then re-run.
+        if self.run.opts.ro || self.footprint.is_empty() {
+            // Read-only futures never park (see `new`), and an empty
+            // footprint has nothing to watch: yield (stay runnable, let
+            // peers in), then re-run.
             waker.wake_by_ref();
-            return AfterAbort::Pend;
+            return Poll::Pending;
         }
-        if self.footprint.is_empty() {
-            // Nothing to watch: yield (stay runnable, let peers in).
-            waker.wake_by_ref();
-            return AfterAbort::Pend;
-        }
-        let notifier = self.stm.notifier();
+        let stm = self.run.stm;
+        let notifier = stm.notifier();
         notifier.snapshot(self.footprint.iter().copied(), &mut self.snap);
         if !notifier.park(&self.snap, waker) {
             // A commit raced the registration — the world changed under
             // us, exactly the event we would have waited for.
-            return AfterAbort::RetryNow;
+            return Poll::Ready(());
         }
         self.parks += 1;
-        self.stm.stats().incr(Counter::Parks);
-        let timeout = self.policy.park_timeout(self.proc, self.consecutive_aborts);
+        stm.stats().incr(Counter::Parks);
+        let timeout = park_timeout(self.run.proc, self.consecutive_aborts);
         let now = std::time::Instant::now();
         self.parked_until = Some(now + timeout);
         self.parked_at = Some(now);
         self.park_started_ns = oftm_obs::ring::enabled().then(oftm_obs::ring::clock_ns);
         timer::wake_after(timeout, waker.clone());
-        AfterAbort::Pend
+        Poll::Pending
     }
 }
 
-/// Future returned by [`run_transaction_async_budgeted`].
+/// Future returned by [`transact_async`].
 pub struct TxFuture<'s, R, F> {
     core: ParkCore<'s>,
     body: F,
@@ -281,7 +207,7 @@ pub struct TxFuture<'s, R, F> {
 
 impl<R, F> Future for TxFuture<'_, R, F>
 where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+    F: FnMut(&mut TxCtx<'_>) -> TxResult<R> + Unpin,
 {
     type Output = Result<Committed<R>, BudgetExceeded>;
 
@@ -291,105 +217,86 @@ where
             return Poll::Pending; // stale wake: stay parked
         }
         loop {
-            if this.core.exhausted() {
-                return Poll::Ready(Err(this.core.budget_exhausted()));
+            if this.core.run.exhausted() {
+                return Poll::Ready(Err(this.core.run.budget_exceeded()));
             }
-            let mut tx = this.core.begin_attempt();
-            match (this.body)(tx.as_mut()) {
-                Ok(r) => {
-                    this.core.capture_footprint(tx.as_ref());
-                    match tx.try_commit() {
-                        Ok(()) => {
-                            this.core.end_attempt();
-                            return Poll::Ready(Ok(this.core.committed(r)));
-                        }
-                        Err(TxError::Aborted) => this.core.end_attempt(),
-                    }
-                }
-                Err(TxError::Aborted) => {
-                    // Drop (not tryA), exactly like the sync retry loop:
-                    // the body already observed the abort event.
-                    this.core.capture_footprint(tx.as_ref());
-                    drop(tx);
-                    this.core.end_attempt();
-                }
+            let mut ctx = this.core.run.begin_attempt();
+            let out = (this.body)(&mut ctx);
+            this.core.capture_footprint(&*ctx);
+            if let Some(value) = this.core.run.settle(ctx, out) {
+                return Poll::Ready(Ok(this.core.committed(value)));
             }
-            if this.core.exhausted() {
-                // The final attempt just aborted: report immediately, as
-                // the sync loop does — parking here would delay the error
-                // by a park timeout and count a park that could never
-                // precede another attempt.
-                return Poll::Ready(Err(this.core.budget_exhausted()));
-            }
-            match this.core.after_abort(cx.waker()) {
-                AfterAbort::RetryNow => continue,
-                AfterAbort::Pend => return Poll::Pending,
+            // A spent budget is reported at the loop top at once, as the
+            // sync driver does: parking first would delay the error by a
+            // park timeout and count a park no attempt could follow.
+            if !this.core.run.exhausted() && this.core.after_abort(cx.waker()).is_pending() {
+                return Poll::Pending;
             }
         }
     }
 }
 
-/// Like [`oftm_core::run_transaction_with_budget`], asynchronously: runs
-/// `body` in transactions until one commits, parking between contended
-/// attempts instead of spinning. Resolves to the committed result with
-/// its attempt/park accounting, or [`BudgetExceeded`] after
-/// `max_attempts` aborted attempts.
-pub fn run_transaction_async_budgeted<'s, R, F>(
+/// **The async driver**: like [`oftm_core::api::transact`], runs `body`
+/// in fresh transactions until one commits or `opts.budget` attempts have
+/// aborted, but parks between contended attempts instead of spinning.
+/// Resolves to the committed result with its attempt/park accounting.
+pub fn transact_async<'s, R, F>(
+    stm: &'s dyn WordStm,
+    proc: u32,
+    opts: TxOpts,
+    body: F,
+) -> TxFuture<'s, R, F>
+where
+    F: FnMut(&mut TxCtx<'_>) -> TxResult<R> + Unpin,
+{
+    TxFuture {
+        core: ParkCore::new(stm, proc, opts),
+        body,
+        _r: std::marker::PhantomData,
+    }
+}
+
+/// [`transact_async`] with a budget of `max_attempts`. Kept because the
+/// benchmark client imports it.
+pub fn atomically_async_budgeted<'s, R, F>(
     stm: &'s dyn WordStm,
     proc: u32,
     max_attempts: u32,
     body: F,
 ) -> TxFuture<'s, R, F>
 where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+    F: FnMut(&mut TxCtx<'_>) -> TxResult<R> + Unpin,
 {
-    TxFuture {
-        core: ParkCore::new(stm, proc, max_attempts),
+    transact_async(
+        stm,
+        proc,
+        TxOpts {
+            ro: false,
+            budget: max_attempts,
+        },
         body,
-        _r: std::marker::PhantomData,
-    }
+    )
 }
 
-/// Like [`oftm_core::run_transaction`], asynchronously: retries until
-/// commit (a `u32::MAX` budget — exhausting it is indistinguishable from
-/// a hang and fails loudly, matching the sync API).
-pub async fn run_transaction_async<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
-where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
-{
-    match run_transaction_async_budgeted(stm, proc, u32::MAX, body).await {
-        Ok(c) => c,
-        Err(e) => panic!("run_transaction_async: {e}"),
-    }
-}
-
-/// Read-only [`run_transaction_async_budgeted`]: attempts run on
-/// [`WordStm::begin_ro`] (the backend's cheapest consistent read path)
-/// and aborted attempts **never park** — they retry inline or yield.
-/// `Committed::parks` is therefore always zero.
-pub fn run_transaction_async_ro_budgeted<'s, R, F>(
+/// Read-only [`atomically_async_budgeted`]: its aborted attempts never
+/// park, so `Committed::parks` is always zero. Kept because the benchmark
+/// client imports it.
+pub fn atomically_async_ro_budgeted<'s, R, F>(
     stm: &'s dyn WordStm,
     proc: u32,
     max_attempts: u32,
     body: F,
 ) -> TxFuture<'s, R, F>
 where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+    F: FnMut(&mut TxCtx<'_>) -> TxResult<R> + Unpin,
 {
-    TxFuture {
-        core: ParkCore::new_ro(stm, proc, max_attempts),
+    transact_async(
+        stm,
+        proc,
+        TxOpts {
+            ro: true,
+            budget: max_attempts,
+        },
         body,
-        _r: std::marker::PhantomData,
-    }
-}
-
-/// Read-only [`run_transaction_async`].
-pub async fn run_transaction_async_ro<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
-where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
-{
-    match run_transaction_async_ro_budgeted(stm, proc, u32::MAX, body).await {
-        Ok(c) => c,
-        Err(e) => panic!("run_transaction_async_ro: {e}"),
-    }
+    )
 }

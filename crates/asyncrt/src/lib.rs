@@ -17,18 +17,19 @@
 //!   publishes its committed writes to its [`CommitNotifier`]; the
 //!   runtime is therefore *backend-agnostic* — anything implementing
 //!   [`WordStm`] gets async execution for free.
-//! * **Futures, not an executor contract** ([`run_transaction_async`],
-//!   [`atomically_async`]): a poll runs whole attempts synchronously (a
-//!   `WordTx` is single-threaded and never crosses an await point); only
-//!   retry state crosses polls. The futures are plain
-//!   `std::future::Future`s — they run on anything that can poll; the
+//! * **A future, not an executor contract** ([`transact_async`]): it
+//!   runs the same [`TxCtx`] bodies with the same [`TxOpts`] as the sync
+//!   driver ([`oftm_core::api::transact`]). A poll runs whole attempts
+//!   synchronously (a `WordTx` is single-threaded and never crosses an
+//!   await point); only retry state crosses polls. [`TxFuture`] is a plain
+//!   `std::future::Future` — it runs on anything that can poll; the
 //!   `async-executor` shim (a small work-stealing pool + `block_on`)
 //!   exists because the container has no crates.io access.
 //! * **The watchdog** ([`timer`]): wake-on-commit alone deadlocks when
 //!   transactions *mutually abort* and nobody commits (possible under
 //!   obstruction-freedom — both back off, both park, no publisher). A
 //!   parked future therefore also arms a randomized timeout drawn from
-//!   the same [`oftm_core::contention`] schedule the sync loops spin on —
+//!   the same [`oftm_core::contention`] schedule the sync driver spins on —
 //!   the safety net that preserves the paper's "eventually runs alone"
 //!   progress argument.
 //!
@@ -46,38 +47,32 @@
 //! ## Quick start
 //!
 //! ```
+//! use oftm_core::api::{TxOpts, WordStm};
 //! use oftm_core::dstm::{Dstm, DstmWord};
-//! use oftm_core::api::WordStm;
 //! use oftm_histories::TVarId;
 //!
 //! let stm = DstmWord::new(Dstm::default());
 //! stm.register_tvar(TVarId(0), 0);
-//! let done = async_executor::block_on(oftm_asyncrt::run_transaction_async(
-//!     &stm,
-//!     0,
-//!     |tx| {
-//!         let v = tx.read(TVarId(0))?;
-//!         tx.write(TVarId(0), v + 1)
-//!     },
-//! ));
+//! let fut = oftm_asyncrt::transact_async(&stm, 0, TxOpts::default(), |tx| {
+//!     let v = tx.read(TVarId(0))?;
+//!     tx.write(TVarId(0), v + 1)
+//! });
+//! let done = async_executor::block_on(fut).expect("within budget");
 //! assert_eq!(done.attempts, 1);
 //! assert_eq!(stm.peek(TVarId(0)), Some(1));
 //! ```
 
 mod collections;
-mod ctx;
 mod future;
 pub mod timer;
 
 pub use collections::{AsyncHashMap, AsyncIntSet, AsyncQueue};
-pub use ctx::{
-    atomically_async, atomically_async_budgeted, atomically_async_ro, atomically_async_ro_budgeted,
-    CtxFuture,
-};
 pub use future::{
-    run_transaction_async, run_transaction_async_budgeted, run_transaction_async_ro,
-    run_transaction_async_ro_budgeted, Committed, TxFuture,
+    atomically_async_budgeted, atomically_async_ro_budgeted, transact_async, Committed, TxFuture,
 };
 
 #[allow(unused_imports)] // rustdoc links
-use oftm_core::{api::WordStm, notify::CommitNotifier};
+use oftm_core::{
+    api::{TxCtx, TxOpts, WordStm},
+    notify::CommitNotifier,
+};

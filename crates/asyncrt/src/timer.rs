@@ -9,8 +9,8 @@
 //! transaction that eventually runs alone; the watchdog manufactures that
 //! eventuality by re-running parked transactions on a randomized,
 //! per-process-desynchronized schedule
-//! ([`oftm_core::contention::ContentionPolicy::park_timeout`], derived
-//! from the same backoff schedule the sync loops spin on). The timeout is
+//! ([`oftm_core::contention::park_timeout`], derived from the same
+//! backoff schedule the sync driver spins on). The timeout is
 //! the safety net, not the normal wake path: under ordinary contention a
 //! conflicting commit wakes the future orders of magnitude earlier.
 //!

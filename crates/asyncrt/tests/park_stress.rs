@@ -9,10 +9,8 @@ mod common;
 
 use async_executor::Executor;
 use common::{make_stm, STM_NAMES};
-use oftm_asyncrt::{
-    atomically_async_budgeted, run_transaction_async_budgeted, run_transaction_async_ro_budgeted,
-};
-use oftm_core::api::{run_transaction_with_budget, WordStm};
+use oftm_asyncrt::{atomically_async_budgeted, transact_async};
+use oftm_core::api::{transact, TxOpts, WordStm};
 use oftm_histories::TVarId;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,6 +18,14 @@ use std::sync::Arc;
 /// Generous budget: exhausting it means livelock (or a lost wakeup that
 /// even the watchdog path failed to paper over), reported as a failure.
 const BUDGET: u32 = 50_000;
+const RW: TxOpts = TxOpts {
+    ro: false,
+    budget: BUDGET,
+};
+const RO: TxOpts = TxOpts {
+    ro: true,
+    budget: BUDGET,
+};
 
 const COUNTER: TVarId = TVarId(0);
 
@@ -41,7 +47,7 @@ fn run_async_counter(
             let parks = Arc::clone(&parks);
             ex.spawn(async move {
                 for _ in 0..ops_per_client {
-                    let done = run_transaction_async_budgeted(&*stm, c, BUDGET, |tx| {
+                    let done = transact_async(&*stm, c, RW, |tx| {
                         let v = tx.read(COUNTER)?;
                         tx.write(COUNTER, v + 1)
                     })
@@ -77,8 +83,7 @@ fn async_counter_exact_with_4x_clients_per_worker() {
         // cell small (the differential harness covers its correctness).
         let ops = if name.starts_with("algo2") { 8 } else { 120 };
         let (attempts, _parks) = run_async_counter(&stm, workers, clients, ops);
-        let (v, _) = run_transaction_with_budget(&*stm, 999, BUDGET, |tx| tx.read(COUNTER))
-            .expect("final read");
+        let (v, _) = transact(&*stm, 999, RW, |tx| tx.read(COUNTER)).expect("final read");
         assert_eq!(
             v,
             u64::from(clients * ops),
@@ -105,7 +110,7 @@ fn condition_waiter_parks_and_is_woken() {
     let waiter = {
         let stm = Arc::clone(&stm);
         ex.spawn(async move {
-            run_transaction_async_budgeted(&*stm, 1, BUDGET, |tx| {
+            transact_async(&*stm, 1, RW, |tx| {
                 if tx.read(COUNTER)? < target {
                     return Err(oftm_core::TxError::Aborted); // condition unmet
                 }
@@ -117,7 +122,7 @@ fn condition_waiter_parks_and_is_woken() {
     };
     for _ in 0..target {
         std::thread::sleep(std::time::Duration::from_micros(500));
-        run_transaction_with_budget(&*stm, 0, BUDGET, |tx| {
+        transact(&*stm, 0, RW, |tx| {
             let v = tx.read(COUNTER)?;
             tx.write(COUNTER, v + 1)
         })
@@ -149,7 +154,7 @@ fn parked_retries_waste_less_than_spin_backoff() {
     fn run_writer(stm: &dyn WordStm) {
         for _ in 0..TARGET {
             std::thread::sleep(WRITER_PERIOD);
-            run_transaction_with_budget(stm, 0, BUDGET, |tx| {
+            transact(stm, 0, RW, |tx| {
                 let v = tx.read(COUNTER)?;
                 tx.write(COUNTER, v + 1)
             })
@@ -174,9 +179,8 @@ fn parked_retries_waste_less_than_spin_backoff() {
                 let stm = Arc::clone(&sync_stm);
                 let sync_attempts = &sync_attempts;
                 s.spawn(move || {
-                    let (_, tries) =
-                        run_transaction_with_budget(&*stm, c, BUDGET, |tx| wait_body(tx))
-                            .expect("sync waiter livelocked");
+                    let (_, tries) = transact(&*stm, c, RW, |tx| wait_body(&mut **tx))
+                        .expect("sync waiter livelocked");
                     sync_attempts.fetch_add(u64::from(tries), Ordering::Relaxed);
                 });
             }
@@ -191,7 +195,7 @@ fn parked_retries_waste_less_than_spin_backoff() {
             .map(|c| {
                 let stm = Arc::clone(&async_stm);
                 ex.spawn(async move {
-                    run_transaction_async_budgeted(&*stm, c, BUDGET, |tx| wait_body(tx))
+                    transact_async(&*stm, c, RW, |tx| wait_body(&mut **tx))
                         .await
                         .expect("async waiter livelocked")
                 })
@@ -247,7 +251,7 @@ fn hybrid_parked_waiter_survives_migration() {
     let waiter = {
         let stm = Arc::clone(&stm);
         ex.spawn(async move {
-            run_transaction_async_budgeted(&*stm, 5, BUDGET, |tx| {
+            transact_async(&*stm, 5, RW, |tx| {
                 if tx.read(COUNTER)? == 0 {
                     return Err(oftm_core::TxError::Aborted); // condition unmet
                 }
@@ -264,8 +268,7 @@ fn hybrid_parked_waiter_survives_migration() {
     // escalates: a stale transaction begun before a foreign commit.
     for round in 0..200u64 {
         let mut stale = stm.begin(0);
-        run_transaction_with_budget(&*stm, 1, BUDGET, |tx| tx.write(STORM, round + 1))
-            .expect("storm writer commits");
+        transact(&*stm, 1, RW, |tx| tx.write(STORM, round + 1)).expect("storm writer commits");
         let _ = stale.read(STORM);
         drop(stale);
         if hy.migrations() > 0 {
@@ -277,8 +280,7 @@ fn hybrid_parked_waiter_survives_migration() {
 
     // The satisfying commit now runs on the DSTM engine; the waiter —
     // parked under TL2 — must wake and complete.
-    run_transaction_with_budget(&*stm, 2, BUDGET, |tx| tx.write(COUNTER, 1))
-        .expect("post-migration writer commits");
+    transact(&*stm, 2, RW, |tx| tx.write(COUNTER, 1)).expect("post-migration writer commits");
     let done = waiter.join();
     assert!(
         done.parks > 0,
@@ -349,7 +351,16 @@ fn aborted_async_attempt_releases_allocations() {
     .expect("second attempt commits");
     assert_eq!(done.attempts, 2);
     assert_eq!(stm.live_tvars(), 3, "aborted attempt's block must be freed");
-    let (v, _) = run_transaction_with_budget(&*stm, 1, 8, |tx| tx.read(done.value)).unwrap();
+    let (v, _) = transact(
+        &*stm,
+        1,
+        TxOpts {
+            ro: false,
+            budget: 8,
+        },
+        |tx| tx.read(done.value),
+    )
+    .unwrap();
     assert_eq!(v, 1);
 }
 
@@ -371,11 +382,11 @@ fn dropped_parked_future_is_harmless() {
 
     {
         let stm_ref: &dyn WordStm = &*stm;
-        let mut parked = Box::pin(run_transaction_async_budgeted(stm_ref, 7, BUDGET, |tx| {
+        let mut parked = Box::pin(transact_async(stm_ref, 7, RW, |tx| {
             let v = tx.read(COUNTER)?;
             // Force an abort every time: a peer bumped the version
             // between our read and commit.
-            run_transaction_with_budget(stm_ref, 8, BUDGET, |peer| {
+            transact(stm_ref, 8, RW, |peer| {
                 let p = peer.read(COUNTER)?;
                 peer.write(COUNTER, p + 1)
             })
@@ -421,7 +432,7 @@ fn read_only_futures_never_park() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    run_transaction_with_budget(&*stm, 0, BUDGET, |tx| {
+                    transact(&*stm, 0, RW, |tx| {
                         let v = tx.read(COUNTER)?;
                         tx.write(COUNTER, v + 1)
                     })
@@ -438,11 +449,9 @@ fn read_only_futures_never_park() {
                     let mut parks = 0u64;
                     let mut last = 0u64;
                     for _ in 0..reads {
-                        let done = run_transaction_async_ro_budgeted(&*stm, c, BUDGET, |tx| {
-                            tx.read(COUNTER)
-                        })
-                        .await
-                        .expect("RO future livelocked");
+                        let done = transact_async(&*stm, c, RO, |tx| tx.read(COUNTER))
+                            .await
+                            .expect("RO future livelocked");
                         parks += u64::from(done.parks);
                         assert!(done.value >= last, "RO reads went backwards");
                         last = done.value;

@@ -6,7 +6,7 @@
 //! [`LockStm`] is one engine. Its compile-time parameter `SNAPSHOT`
 //! decides one thing: whether a *writable* transaction's plain reads are
 //! anchored to a begin-time sample `rv` of the sharded commit clock
-//! ([`crate::clock`]). Everything else is shared: the versioned lock
+//! (the `clock` module). Everything else is shared: the versioned lock
 //! words, the pooled scratch, the sorted lock/tick/apply/notify commit,
 //! the declared read-only transaction and the forensic writer stamps.
 //!
@@ -46,7 +46,7 @@
 //! * *detect-on-commit promotion* — an ordinary transaction that never
 //!   wrote commits without locks or a clock bump (TL revalidates its
 //!   read-set, as above);
-//! * *declared* ([`WordStm::begin_ro`], [`LockRoTx`]), the same in both
+//! * *declared* ([`WordStm::begin_ro`], `LockRoTx`), the same in both
 //!   engines — no read-set, and bounded work per read: one version
 //!   sandwich checked against the begin-time vector, with a one-shot
 //!   snapshot refresh before the first successful read. Reads are

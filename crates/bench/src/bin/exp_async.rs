@@ -30,8 +30,8 @@
 //! the hot-path gate.
 
 use async_executor::Executor;
-use oftm_asyncrt::{atomically_async_budgeted, run_transaction_async_budgeted};
-use oftm_bench::harness::{base_seed, ATTEMPT_BUDGET};
+use oftm_asyncrt::{atomically_async_budgeted, transact_async};
+use oftm_bench::harness::{base_seed, ATTEMPT_BUDGET, ATTEMPT_OPTS};
 use oftm_bench::{make_stm, SplitMix, STM_NAMES};
 use oftm_core::api::WordStm;
 use oftm_histories::TVarId;
@@ -177,18 +177,16 @@ async fn run_client(
                 })
                 .await
             }
-            "async-counter" => {
-                run_transaction_async_budgeted(&*stm, client, ATTEMPT_BUDGET, |tx| {
-                    let v = tx.read(COUNTER)?;
-                    tx.write(COUNTER, v + 1)
-                })
-                .await
-                .map(|c| oftm_asyncrt::Committed {
-                    value: (),
-                    attempts: c.attempts,
-                    parks: c.parks,
-                })
-            }
+            "async-counter" => transact_async(&*stm, client, ATTEMPT_OPTS, |tx| {
+                let v = tx.read(COUNTER)?;
+                tx.write(COUNTER, v + 1)
+            })
+            .await
+            .map(|c| oftm_asyncrt::Committed {
+                value: (),
+                attempts: c.attempts,
+                parks: c.parks,
+            }),
             other => panic!("unknown scenario {other}"),
         };
         match done {
@@ -277,10 +275,7 @@ fn measure(
     // one committed increment, so a lost update under parked retries is
     // a hard failure, not a throughput blip.
     if scenario == "async-counter" {
-        let (v, _) =
-            oftm_core::run_transaction_with_budget(&*stm, u32::MAX - 1, ATTEMPT_BUDGET, |tx| {
-                tx.read(COUNTER)
-            })
+        let (v, _) = oftm_core::transact(&*stm, u32::MAX - 1, ATTEMPT_OPTS, |tx| tx.read(COUNTER))
             .expect("final counter read");
         assert_eq!(
             v, completed,

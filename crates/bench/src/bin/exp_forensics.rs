@@ -27,9 +27,9 @@
 //! cargo run --release -p oftm-bench --bin exp_forensics -- --smoke # CI
 //! ```
 
-use oftm_bench::harness::{base_seed, ATTEMPT_BUDGET};
+use oftm_bench::harness::{base_seed, ATTEMPT_OPTS};
 use oftm_bench::{make_stm, SplitMix, STM_NAMES};
-use oftm_core::api::{run_transaction_with_budget, WordStm};
+use oftm_core::api::{transact, WordStm};
 use oftm_histories::TVarId;
 use std::io::Write;
 use std::time::Instant;
@@ -62,7 +62,7 @@ fn duel_op(stm: &dyn WordStm, proc: u32, rng: &mut SplitMix) -> Option<u32> {
     let cold: Vec<TVarId> = (0..4)
         .map(|_| TVarId(1 + (rng.next() % COLD_VARS)))
         .collect();
-    run_transaction_with_budget(stm, proc, ATTEMPT_BUDGET, |tx| {
+    transact(stm, proc, ATTEMPT_OPTS, |tx| {
         let h = tx.read(HOT)?;
         tx.write(HOT, h + 1)?;
         std::thread::yield_now(); // widen the conflict window

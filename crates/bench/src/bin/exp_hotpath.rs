@@ -47,9 +47,9 @@
 //! cell (`"livelocked": true` + non-zero exit), never a hang. CI greps
 //! the JSON for `livelocked` cells and for missing STMs.
 
-use oftm_bench::harness::{base_seed, ATTEMPT_BUDGET};
+use oftm_bench::harness::{base_seed, ATTEMPT_BUDGET, ATTEMPT_OPTS};
 use oftm_bench::{make_stm, SplitMix, STM_NAMES};
-use oftm_core::api::{run_transaction_with_budget, WordStm};
+use oftm_core::api::{transact, WordStm};
 use oftm_histories::TVarId;
 use oftm_structs::{atomically_budgeted, atomically_ro_budgeted, TxHashMap, TxIntSet};
 use std::io::Write;
@@ -99,7 +99,7 @@ fn phase_shift_op(stm: &dyn WordStm, proc: u32, rng: &mut SplitMix, high: bool) 
     if high {
         let reads: Vec<TVarId> = (0..16).map(|_| cold(rng.next())).collect();
         let wr = cold(rng.next());
-        run_transaction_with_budget(stm, proc, ATTEMPT_BUDGET, |tx| {
+        transact(stm, proc, ATTEMPT_OPTS, |tx| {
             let h = tx.read(PS_HOT)?;
             tx.write(PS_HOT, h + 1)?;
             std::thread::yield_now(); // preemption point inside the conflict window
@@ -114,7 +114,7 @@ fn phase_shift_op(stm: &dyn WordStm, proc: u32, rng: &mut SplitMix, high: bool) 
     } else {
         let reads: Vec<TVarId> = (0..8).map(|_| cold(rng.next())).collect();
         let wr = cold(rng.next());
-        run_transaction_with_budget(stm, proc, ATTEMPT_BUDGET, |tx| {
+        transact(stm, proc, ATTEMPT_OPTS, |tx| {
             let mut acc = 0;
             for &x in &reads {
                 acc += tx.read(x)?;
@@ -192,9 +192,7 @@ fn measure_scan_vs_writers(stm_name: &'static str, threads: usize, dur: Duration
                     let mut n = 0;
                     while !stop.load(Ordering::Relaxed) {
                         n += 1;
-                        let w = run_transaction_with_budget(stm, t as u32, ATTEMPT_BUDGET, |tx| {
-                            tx.write(x, n)
-                        });
+                        let w = transact(stm, t as u32, ATTEMPT_OPTS, |tx| tx.write(x, n));
                         if w.is_err() {
                             break;
                         }

@@ -144,7 +144,7 @@ fn run_one(
     r.ok().map(|(_, attempts)| attempts)
 }
 
-fn q_enq(q: &TxQueue, ctx: &mut oftm_structs::TxCtx<'_, '_>, v: u64) -> oftm_core::TxResult<()> {
+fn q_enq(q: &TxQueue, ctx: &mut oftm_structs::TxCtx<'_>, v: u64) -> oftm_core::TxResult<()> {
     q.enqueue_in(ctx, v)
 }
 

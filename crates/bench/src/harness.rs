@@ -22,7 +22,7 @@
 //! exact same workload.
 
 use crate::{make_stm, SplitMix, STM_NAMES};
-use oftm_core::api::{run_transaction, run_transaction_with_budget, WordStm};
+use oftm_core::api::{run_transaction, transact, TxOpts, WordStm};
 use oftm_core::record::Recorder;
 use oftm_histories::{
     conflict_serializable, final_state_opaque, serializable, well_formed, OpacityCheck, SerCheck,
@@ -41,6 +41,12 @@ const EXACT_CHECK_CAP: usize = 10;
 /// small enough that exhausting it (with the retry loop's ≤256 µs
 /// randomized backoff per attempt) reports within seconds, not minutes.
 pub const ATTEMPT_BUDGET: u32 = 50_000;
+
+/// [`ATTEMPT_BUDGET`] as read-write driver options.
+pub const ATTEMPT_OPTS: TxOpts = TxOpts {
+    ro: false,
+    budget: ATTEMPT_BUDGET,
+};
 
 /// The five seeded workload shapes the differential suite exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,7 +228,7 @@ fn run_program_inner(
     prog: &TxProgram,
     preempt: bool,
 ) -> Option<(Vec<Value>, u32)> {
-    run_transaction_with_budget(stm, proc, ATTEMPT_BUDGET, |tx| match prog {
+    transact(stm, proc, ATTEMPT_OPTS, |tx| match prog {
         TxProgram::ReadOnly(vars) => {
             let mut seen = Vec::with_capacity(vars.len());
             for &x in vars {

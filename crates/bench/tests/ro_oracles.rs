@@ -14,13 +14,19 @@
 
 use oftm_baselines::{Tl2Stm, TlStm};
 use oftm_bench::{make_stm, STM_NAMES};
-use oftm_core::api::{
-    run_transaction_ro, run_transaction_ro_with_budget, run_transaction_with_budget, WordStm,
-};
+use oftm_core::api::{transact, TxOpts, WordStm};
 use oftm_histories::TVarId;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const BUDGET: u32 = 50_000;
+const RW: TxOpts = TxOpts {
+    ro: false,
+    budget: BUDGET,
+};
+const RO: TxOpts = TxOpts {
+    ro: true,
+    budget: BUDGET,
+};
 
 /// Sets the flag when dropped — including on unwind, so a failed
 /// assertion in the reader cannot strand the writer's spin loop and turn
@@ -62,7 +68,7 @@ fn wait_free_ro_single_attempt_under_writer_on_tl_tl2() {
             s.spawn(|| {
                 // Writer: commit to the reader's footprint back-to-back.
                 while !stop.load(Ordering::Relaxed) {
-                    run_transaction_with_budget(&*stm, 0, BUDGET, |tx| {
+                    transact(&*stm, 0, RW, |tx| {
                         let v = tx.read(x)?;
                         tx.write(x, v + 1)
                     })
@@ -72,7 +78,11 @@ fn wait_free_ro_single_attempt_under_writer_on_tl_tl2() {
             let _stop_guard = StopOnDrop(&stop);
             let mut last = 0u64;
             for i in 0..READS {
-                let (v, attempts) = run_transaction_ro(&*stm, 1, |tx| tx.read(x));
+                let ro = TxOpts {
+                    ro: true,
+                    ..TxOpts::default()
+                };
+                let (v, attempts) = transact(&*stm, 1, ro, |tx| tx.read(x)).unwrap();
                 assert_eq!(
                     attempts, 1,
                     "{name}: RO read #{i} took {attempts} attempts — the read-only \
@@ -113,7 +123,7 @@ fn ro_scan_never_observes_torn_invariant_all_stms() {
                         let from = TVarId(rng.next() % ACCOUNTS);
                         let to = TVarId(rng.next() % ACCOUNTS);
                         let amount = rng.next() % 7;
-                        run_transaction_with_budget(&**stm, w, BUDGET, |tx| {
+                        transact(&**stm, w, RW, |tx| {
                             let f = tx.read(from)?;
                             if from != to && f >= amount {
                                 let t = tx.read(to)?;
@@ -129,7 +139,7 @@ fn ro_scan_never_observes_torn_invariant_all_stms() {
             let stm = &stm;
             s.spawn(move || {
                 for i in 0..scans {
-                    let (total, _) = run_transaction_ro_with_budget(&**stm, 2, BUDGET, |tx| {
+                    let (total, _) = transact(&**stm, 2, RO, |tx| {
                         let mut sum = 0u64;
                         for a in 0..ACCOUNTS {
                             sum += tx.read(TVarId(a))?;

@@ -1,5 +1,6 @@
 //! The uniform word-level STM interface (`WordStm`) shared by every STM in
-//! the workspace.
+//! the workspace, and the sync driver ([`transact`]) that runs transactions
+//! over it.
 //!
 //! The paper compares classes of STM implementations (OFTMs, lock-based
 //! TMs, Algorithm 2). To run identical workloads and the same
@@ -167,7 +168,7 @@ pub trait WordStm: Send + Sync {
 
     /// The telemetry registry of this STM instance. Backends tag every
     /// aborted attempt with exactly one [`AbortCause`] and count
-    /// begins/commits/reclamation at their own sites; the retry loops
+    /// begins/commits/reclamation at their own sites; the drivers
     /// record attempt latencies and budget exhaustion into the same
     /// registry (see [`oftm_obs`]). Always on — the cost is a handful of
     /// uncontended relaxed increments per transaction.
@@ -187,10 +188,10 @@ pub trait WordStm: Send + Sync {
     fn is_obstruction_free(&self) -> bool;
 }
 
-/// The retry budget of [`run_transaction_with_budget`] ran out before any
-/// attempt committed: `attempts` transactions were tried and all aborted.
-/// Surfacing this instead of looping forever turns a livelocking workload
-/// into a diagnosable failure.
+/// A transaction's retry budget ran out before any attempt committed:
+/// `attempts` transactions were tried and all aborted. Surfacing this
+/// instead of looping forever turns a livelocking workload into a
+/// diagnosable failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetExceeded {
     /// Number of aborted attempts (equals the budget that was given).
@@ -209,155 +210,271 @@ impl fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-/// Runs `body` inside transactions until one commits, in the standard
-/// retry-loop style. Each retry uses a fresh transaction identifier.
-/// Returns the committed body result together with the number of attempts.
-pub fn run_transaction<R>(
-    stm: &dyn WordStm,
-    proc: u32,
-    body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
-) -> (R, u32) {
-    match run_transaction_with_budget(stm, proc, u32::MAX, body) {
-        Ok(out) => out,
-        // u32::MAX attempts without a commit is indistinguishable from a
-        // hang in practice; keep the unbounded signature but fail loudly.
-        Err(e) => panic!("run_transaction: {e}"),
-    }
+/// How a driver runs a transaction: the two choices every caller makes.
+/// The default is a read-write transaction that retries until it commits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TxOpts {
+    /// Begin every attempt with [`WordStm::begin_ro`], the backend's
+    /// cheapest consistent read path (wait-free on TL/TL2). The body must
+    /// not write, retire or allocate.
+    pub ro: bool,
+    /// Attempts tried before the driver gives up with [`BudgetExceeded`].
+    /// Harness workloads bound it so a livelocking STM produces a seeded,
+    /// reportable failure rather than a silent hang.
+    pub budget: u32,
 }
 
-/// Like [`run_transaction`], but gives up after `max_attempts` aborted
-/// attempts instead of retrying forever. Harness workloads use this so a
-/// livelocking STM produces a seeded, reportable failure rather than a
-/// silent hang.
-///
-/// Aborted attempts are separated by randomized bounded exponential
-/// backoff. This is the paper's own progress recipe (Section 1):
-/// obstruction-free TMs guarantee nothing under sustained step contention,
-/// but contention that is *spread out* by backoff makes solo runs — and
-/// hence commits — overwhelmingly likely. Without it, symmetric workloads
-/// on CM-less implementations (e.g. Algorithm 2, where even reads take
-/// revocable ownership) mutually abort forever. Sequential executions
-/// never abort, so they never pay the backoff.
-pub fn run_transaction_with_budget<R>(
-    stm: &dyn WordStm,
-    proc: u32,
-    max_attempts: u32,
-    body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
-) -> Result<(R, u32), BudgetExceeded> {
-    retry_loop(
-        || stm.begin(proc),
-        stm.stats(),
-        stm.name(),
-        proc,
-        max_attempts,
-        body,
-    )
-}
-
-/// Read-only counterpart of [`run_transaction`]: every attempt begins via
-/// [`WordStm::begin_ro`], so the body must not write. On TL/TL2 the first
-/// attempt cannot abort (reads are wait-free against the begin-time
-/// version vector), so `attempts` is 1 there by construction.
-pub fn run_transaction_ro<R>(
-    stm: &dyn WordStm,
-    proc: u32,
-    body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
-) -> (R, u32) {
-    match run_transaction_ro_with_budget(stm, proc, u32::MAX, body) {
-        Ok(out) => out,
-        Err(e) => panic!("run_transaction_ro: {e}"),
-    }
-}
-
-/// Like [`run_transaction_ro`], but gives up after `max_attempts` aborted
-/// attempts (relevant on the backends whose read-only path can still
-/// abort: DSTM and both Algorithm 2 configurations).
-pub fn run_transaction_ro_with_budget<R>(
-    stm: &dyn WordStm,
-    proc: u32,
-    max_attempts: u32,
-    body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
-) -> Result<(R, u32), BudgetExceeded> {
-    retry_loop(
-        || stm.begin_ro(proc),
-        stm.stats(),
-        stm.name(),
-        proc,
-        max_attempts,
-        body,
-    )
-}
-
-/// The shared retry loop of [`run_transaction_with_budget`] and
-/// [`run_transaction_ro_with_budget`] — identical except for how each
-/// attempt's transaction begins.
-fn retry_loop<'s, R>(
-    begin: impl Fn() -> Box<dyn WordTx + 's>,
-    stats: &StmStats,
-    stm_name: &'static str,
-    proc: u32,
-    max_attempts: u32,
-    mut body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
-) -> Result<(R, u32), BudgetExceeded> {
-    let mut attempts = 0;
-    while attempts < max_attempts {
-        if attempts > 0 {
-            retry_backoff(proc, attempts);
-            stats.incr(oftm_obs::Counter::Retries);
+impl Default for TxOpts {
+    fn default() -> Self {
+        TxOpts {
+            ro: false,
+            budget: u32::MAX,
         }
-        attempts += 1;
+    }
+}
+
+/// One attempt's transaction plus the STM it runs on, handed to every
+/// transaction body.
+///
+/// Reads, writes and retirement go through the transaction: `TxCtx`
+/// dereferences to its [`WordTx`], so bodies call them on the context
+/// directly and pass `&mut **ctx` to helpers taking `&mut dyn WordTx`.
+/// Node allocation goes through the STM ([`WordStm::alloc_tvar_block`] is
+/// safe mid-transaction) and is logged. An aborted attempt's blocks were never
+/// published (the write that would have linked them rolled back), so no
+/// other transaction can hold their ids. Dropping the context without a
+/// commit, whether the attempt aborted or its body panicked, therefore
+/// drops the transaction first (releasing its grace slot and any lock it
+/// holds) and then frees the logged blocks. Without this, every aborted
+/// insert would leak a node.
+pub struct TxCtx<'s> {
+    stm: &'s dyn WordStm,
+    /// `None` only once [`Attempts::settle`] has consumed the transaction.
+    tx: Option<Box<dyn WordTx + 's>>,
+    /// Blocks allocated by this attempt, freed on drop unless it commits.
+    allocs: Vec<(TVarId, usize)>,
+    started: Instant,
+    /// Ring-clock start of this attempt, when tracing is on.
+    span_started: Option<u64>,
+}
+
+impl<'s> TxCtx<'s> {
+    /// Allocates one fresh t-variable (see [`WordStm::alloc_tvar`]).
+    #[inline]
+    pub fn alloc(&mut self, initial: Value) -> TVarId {
+        self.alloc_block(std::slice::from_ref(&initial))
+    }
+
+    /// Allocates a contiguous block of fresh t-variables (a node). The
+    /// block is released automatically if this attempt does not commit.
+    #[inline]
+    pub fn alloc_block(&mut self, initials: &[Value]) -> TVarId {
+        let base = self.stm.alloc_tvar_block(initials);
+        self.allocs.push((base, initials.len()));
+        base
+    }
+
+    fn free_allocs(&mut self) {
+        for (base, len) in self.allocs.drain(..) {
+            self.stm.free_tvar_block(base, len);
+        }
+    }
+}
+
+// `#[inline]` on the accessors below: bodies in other crates (the
+// collections) go through them on every read and write, and without it a
+// non-generic function is not inlined across crates.
+impl<'s> std::ops::Deref for TxCtx<'s> {
+    type Target = dyn WordTx + 's;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        self.tx.as_deref().expect("transaction already settled")
+    }
+}
+
+impl std::ops::DerefMut for TxCtx<'_> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.tx.as_deref_mut().expect("transaction already settled")
+    }
+}
+
+impl Drop for TxCtx<'_> {
+    fn drop(&mut self) {
+        // The transaction goes first: its drop releases the grace slot
+        // and whatever the backend holds, so the blocks freed below are
+        // out of reach of every attempt that could have seen them.
+        self.tx = None;
+        self.free_allocs();
+    }
+}
+
+/// The attempt lifecycle both drivers share: [`transact`] spins between
+/// attempts, `oftm_asyncrt::transact_async` parks. It runs no loop itself.
+///
+/// Per attempt, [`Attempts::begin_attempt`] bumps the `Retries` counter
+/// after the first and begins with `begin` or `begin_ro` from the
+/// options. [`Attempts::settle`] commits or drops the transaction, frees
+/// an aborted attempt's blocks, and records the attempt-latency sample and
+/// the ring `attempt` span. [`Attempts::budget_exceeded`] tags the spent
+/// budget once.
+pub struct Attempts<'s> {
+    /// The STM, process and options the driver was called with.
+    pub stm: &'s dyn WordStm,
+    pub proc: u32,
+    pub opts: TxOpts,
+    /// Attempts begun so far.
+    count: u32,
+    /// Allocation log reused by every attempt, so retries allocate nothing.
+    allocs: Vec<(TVarId, usize)>,
+}
+
+impl<'s> Attempts<'s> {
+    pub fn new(stm: &'s dyn WordStm, proc: u32, opts: TxOpts) -> Self {
+        Attempts {
+            stm,
+            proc,
+            opts,
+            count: 0,
+            allocs: Vec::new(),
+        }
+    }
+
+    /// Attempts begun so far (the `attempts` a committed run reports).
+    #[inline]
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// True once the budget is spent.
+    #[inline]
+    pub fn exhausted(&self) -> bool {
+        self.count >= self.opts.budget
+    }
+
+    /// Begins the next attempt; each one is a fresh transaction with a
+    /// fresh identifier (paper, Section 2.2).
+    pub fn begin_attempt(&mut self) -> TxCtx<'s> {
+        if self.count > 0 {
+            self.stm.stats().incr(oftm_obs::Counter::Retries);
+        }
+        self.count += 1;
         let started = Instant::now();
         // Attempt spans (Chrome-trace "X" slices) only when tracing is on;
         // the ring clock is sampled per attempt so slices nest correctly
         // inside the emitting thread's track.
         let span_started = oftm_obs::ring::enabled().then(oftm_obs::ring::clock_ns);
-        let mut tx = begin();
-        let committed = match body(tx.as_mut()) {
-            Ok(r) => match tx.try_commit() {
-                Ok(()) => Some(r),
-                Err(TxError::Aborted) => None,
-            },
-            Err(TxError::Aborted) => None,
+        let tx = if self.opts.ro {
+            self.stm.begin_ro(self.proc)
+        } else {
+            self.stm.begin(self.proc)
         };
-        stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
-        if let Some(t0) = span_started {
+        TxCtx {
+            stm: self.stm,
+            tx: Some(tx),
+            allocs: std::mem::take(&mut self.allocs),
+            started,
+            span_started,
+        }
+    }
+
+    /// Decides the attempt the body returned `out` for: on `Ok` requests
+    /// commitment, on `Err` drops (not `tryA`s) the transaction, since the
+    /// body already observed the abort event and an explicit `tryA` would
+    /// record a second operation on a completed transaction. Returns the
+    /// result if the attempt committed.
+    pub fn settle<R>(&mut self, mut ctx: TxCtx<'s>, out: TxResult<R>) -> Option<R> {
+        let tx = ctx.tx.take().expect("transaction already settled");
+        let committed = match out {
+            Ok(r) => tx.try_commit().ok().map(|()| r),
+            Err(TxError::Aborted) => {
+                drop(tx); // before the frees below, as in `TxCtx::drop`
+                None
+            }
+        };
+        self.stm
+            .stats()
+            .record_attempt_ns(ctx.started.elapsed().as_nanos() as u64);
+        if committed.is_some() {
+            ctx.allocs.clear(); // published by the commit
+        } else {
+            ctx.free_allocs();
+        }
+        self.allocs = std::mem::take(&mut ctx.allocs);
+        if let Some(t0) = ctx.span_started {
             oftm_obs::ring::emit_span(
                 "attempt",
-                stm_name,
-                u64::from(proc),
-                u64::from(attempts),
+                self.stm.name(),
+                u64::from(self.proc),
+                u64::from(self.count),
                 t0,
             );
         }
-        if let Some(r) = committed {
-            return Ok((r, attempts));
+        committed
+    }
+
+    /// Tags the spent budget and returns the error the drivers report.
+    pub fn budget_exceeded(&self) -> BudgetExceeded {
+        // Only the loop can see its budget run dry; the per-attempt causes
+        // were tagged by the backend as each attempt died. No single
+        // t-variable is responsible and no peer won anything, hence the
+        // explicit NoVar / unknown-aggressor attribution.
+        self.stm.stats().abort_at(
+            AbortCause::BudgetExhausted,
+            VarAttr::NoVar,
+            pack_tx(self.proc, self.opts.budget),
+            TX_UNKNOWN,
+        );
+        BudgetExceeded {
+            attempts: self.opts.budget,
         }
     }
-    // Only the loop can see its budget run dry; the per-attempt causes
-    // were tagged by the backend as each attempt died. No single
-    // t-variable is responsible and no peer won anything, hence the
-    // explicit NoVar / unknown-aggressor attribution.
-    stats.abort_at(
-        AbortCause::BudgetExhausted,
-        VarAttr::NoVar,
-        pack_tx(proc, max_attempts),
-        TX_UNKNOWN,
-    );
-    Err(BudgetExceeded {
-        attempts: max_attempts,
-    })
 }
 
-/// Spins for a pseudo-random duration in `[0, 2^min(attempt, 8))` µs,
-/// seeded by `(proc, attempt)` so threads desynchronize deterministically.
-/// Public so higher-level retry loops (e.g. the collection `atomically`,
-/// which additionally releases attempt-local allocations on abort) can
-/// share the exact backoff schedule of [`run_transaction_with_budget`].
-/// The schedule itself lives in [`crate::contention`], which the async
-/// runtime's park timeouts also derive from — one policy, two waiting
-/// styles.
-pub fn retry_backoff(proc: u32, attempt: u32) {
-    crate::contention::spin_backoff(proc, attempt);
+/// **The sync driver.** Runs `body` in fresh transactions until one
+/// commits or `opts.budget` attempts have aborted, and returns the
+/// committed result together with the number of attempts.
+///
+/// Aborted attempts are separated by randomized bounded exponential
+/// backoff ([`crate::contention::spin_backoff`]). This is the paper's own
+/// progress recipe (Section 1): obstruction-free TMs guarantee nothing
+/// under sustained step contention, but contention that is *spread out*
+/// by backoff makes solo runs, and hence commits, overwhelmingly likely.
+/// Without it, symmetric workloads on CM-less implementations (e.g.
+/// Algorithm 2, where even reads take revocable ownership) mutually abort
+/// forever. Sequential executions never abort, so they never pay the
+/// backoff.
+pub fn transact<R>(
+    stm: &dyn WordStm,
+    proc: u32,
+    opts: TxOpts,
+    mut body: impl FnMut(&mut TxCtx<'_>) -> TxResult<R>,
+) -> Result<(R, u32), BudgetExceeded> {
+    let mut run = Attempts::new(stm, proc, opts);
+    while !run.exhausted() {
+        if run.count() > 0 {
+            crate::contention::spin_backoff(proc, run.count());
+        }
+        let mut ctx = run.begin_attempt();
+        let out = body(&mut ctx);
+        if let Some(r) = run.settle(ctx, out) {
+            return Ok((r, run.count()));
+        }
+    }
+    Err(run.budget_exceeded())
+}
+
+/// [`transact`] with default options, panicking if `u32::MAX` attempts
+/// abort. It stays as the most-used entry point: tests, examples and the
+/// harness pass it plain `&mut dyn WordTx` bodies.
+pub fn run_transaction<R>(
+    stm: &dyn WordStm,
+    proc: u32,
+    mut body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
+) -> (R, u32) {
+    transact(stm, proc, TxOpts::default(), |tx| body(&mut **tx))
+        .unwrap_or_else(|e| panic!("run_transaction: {e}"))
 }
 
 #[cfg(test)]

@@ -229,20 +229,13 @@ impl Dstm {
     }
 
     /// Runs `body` in a transaction, retrying on abort until it commits
-    /// (each retry is a fresh transaction, as the paper prescribes).
-    /// Returns the result of the committed attempt.
+    /// (each retry is a fresh transaction, as the paper prescribes), and
+    /// returns the result of the committed attempt. This is the typed
+    /// object API: its [`Tx`] reads and writes [`TVar`]s of any type, so
+    /// it keeps its own loop instead of the word-level driver
+    /// ([`crate::api::transact`]); contention is left to the manager.
     pub fn atomically<R>(&self, proc: u32, mut body: impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
-        self.atomically_counted(proc, &mut body).0
-    }
-
-    /// Like [`Dstm::atomically`] but also reports the number of attempts
-    /// (1 = committed first try).
-    pub fn atomically_counted<R>(
-        &self,
-        proc: u32,
-        body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> (R, u32) {
-        let mut attempts = 0;
+        let mut attempts = 0u32;
         loop {
             if attempts > 0 {
                 self.stats.incr(Counter::Retries);
@@ -251,22 +244,14 @@ impl Dstm {
             let started = Instant::now();
             let mut tx = self.begin(proc);
             let committed = match body(&mut tx) {
-                Ok(r) => {
-                    if tx.commit().is_ok() {
-                        Some(r)
-                    } else {
-                        None
-                    }
-                }
-                Err(TxError::Aborted) => {
-                    // body observed the abort; loop for a fresh attempt
-                    None
-                }
+                Ok(r) => tx.commit().is_ok().then_some(r),
+                // The body observed the abort; loop for a fresh attempt.
+                Err(TxError::Aborted) => None,
             };
             self.stats
                 .record_attempt_ns(started.elapsed().as_nanos() as u64);
             if let Some(r) = committed {
-                return (r, attempts);
+                return r;
             }
         }
     }
@@ -438,7 +423,11 @@ mod tests {
     fn attempts_reported() {
         let stm = Dstm::default();
         let x = stm.new_tvar(0u64);
-        let (v, attempts) = stm.atomically_counted(0, &mut |tx| tx.read(&x));
+        let mut attempts = 0;
+        let v = stm.atomically(0, |tx| {
+            attempts += 1;
+            tx.read(&x)
+        });
         assert_eq!(v, 0);
         assert_eq!(attempts, 1);
     }

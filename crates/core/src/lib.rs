@@ -12,7 +12,8 @@
 //!   Randomized), each honouring the obstruction-freedom contract.
 //! * [`api`] — the uniform word-level [`api::WordStm`] interface shared
 //!   with the baselines and Algorithm 2, enabling apples-to-apples
-//!   experiments.
+//!   experiments, and the sync driver [`api::transact`] that runs a
+//!   transaction body over it with [`api::TxOpts`].
 //! * [`record`] — low-level history recording, bridging real executions to
 //!   the formal checkers in `oftm-histories`.
 //! * [`notify`] — the commit-notification subsystem: every backend
@@ -20,7 +21,7 @@
 //!   park aborted transactions and wake them only when their footprint
 //!   actually changes.
 //! * [`contention`] — the shared retry policy (backoff schedule, park
-//!   timeouts) behind both the sync spin loops and the async park path.
+//!   timeouts) behind both the sync spin driver and the async park path.
 //! * [`kernel`] — the notify/grace protocol kernels written generically
 //!   over a synchronization facade, so `oftm-verify`'s bounded model
 //!   checker can interleave the production protocol code exhaustively.
@@ -52,10 +53,8 @@ pub mod record;
 pub mod table;
 
 pub use api::{
-    run_transaction, run_transaction_with_budget, BudgetExceeded, TxError, TxResult, WordStm,
-    WordTx,
+    run_transaction, transact, BudgetExceeded, TxCtx, TxError, TxOpts, TxResult, WordStm, WordTx,
 };
-pub use contention::ContentionPolicy;
 pub use dstm::{Dstm, DstmWord, Progress, TVar, Tx};
 pub use notify::{CommitNotifier, WaitSnapshot, NOTIFY_SHARDS};
 pub use reclaim::{GraceTracker, RetiredBlock, TxGrace};

@@ -224,7 +224,7 @@ pub type TxGrace = GraceHandle<Arc<AtomicU64>>;
 
 /// The per-STM-instance grace-period tracker (see module docs): the
 /// generic grace kernel ([`crate::kernel::GraceCore`]) instantiated with
-/// real atomics and the lock-free chunked [`SlotArray`].
+/// real atomics and the lock-free chunked `SlotArray`.
 pub struct GraceTracker {
     core: GraceCore<StdSync, SlotArray>,
 }

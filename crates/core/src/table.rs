@@ -31,7 +31,7 @@
 //!   addressable from a single base id.
 //!
 //! Both ranges map to slots in lazily materialized, append-only **pages**
-//! ([`PAGE_SIZE`] slots each) reached through atomic page directories:
+//! (`PAGE_SIZE` slots each) reached through atomic page directories:
 //! one flat directory for the static range, a two-level one for the
 //! (much larger) dynamic range. `get` is a wait-free double array index —
 //! two or three `Acquire` loads plus an `Arc` clone, no lock, no hashing,

@@ -736,7 +736,7 @@ impl WordStm for HybridStm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oftm_core::api::run_transaction;
+    use oftm_core::api::{run_transaction, transact, TxOpts};
 
     const X: TVarId = TVarId(0);
     const Y: TVarId = TVarId(1);
@@ -990,7 +990,11 @@ mod tests {
     fn ro_transactions_admit_and_commit_in_both_modes() {
         let s = stm(HybridConfig::eager());
         run_transaction(&s, 0, |tx| tx.write(X, 3));
-        let (v, _) = oftm_core::api::run_transaction_ro(&s, 1, |tx| tx.read(X));
+        let ro = TxOpts {
+            ro: true,
+            ..TxOpts::default()
+        };
+        let (v, _) = transact(&s, 1, ro, |tx| tx.read(X)).unwrap();
         assert_eq!(v, 3);
         for round in 0..200u64 {
             one_stale_abort(&s, 100 + round);
@@ -999,7 +1003,7 @@ mod tests {
             }
         }
         assert_eq!(s.mode(), Mode::Dstm);
-        let (v, _) = oftm_core::api::run_transaction_ro(&s, 1, |tx| tx.read(X));
+        let (v, _) = transact(&s, 1, ro, |tx| tx.read(X)).unwrap();
         assert!(v >= 100, "RO read must see a storm-era commit, got {v}");
     }
 }

@@ -160,7 +160,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length spec for [`vec`]: a `usize` (exact) or `Range<usize>`.
+    /// Length spec for [`vec()`]: a `usize` (exact) or `Range<usize>`.
     pub trait SizeRange {
         fn into_range(self) -> Range<usize>;
     }

@@ -22,7 +22,7 @@ use oftm_histories::TVarId;
 const VAL: u64 = 0;
 const NXT: u64 = 1;
 
-/// The broken list. Same handle shape as [`TxIntSet`].
+/// The broken list. Same handle shape as [`crate::TxIntSet`].
 #[derive(Clone, Copy, Debug)]
 pub struct BrokenIntSet {
     head: TVarId,

@@ -1,6 +1,7 @@
 //! A striped counter: increments touch one stripe, reads sum all stripes.
 
-use crate::ctx::{atomically, TxCtx};
+use crate::ctx::atomically;
+use crate::TxCtx;
 use oftm_core::api::WordStm;
 use oftm_core::TxResult;
 use oftm_histories::{TVarId, Value};
@@ -32,7 +33,7 @@ impl TxCounter {
 
     /// Adds `delta` to the stripe picked by `hint`, inside the caller's
     /// transaction. Wrapping arithmetic: totals are modular in u64.
-    pub fn add_in(&self, ctx: &mut TxCtx<'_, '_>, hint: u32, delta: Value) -> TxResult<()> {
+    pub fn add_in(&self, ctx: &mut TxCtx<'_>, hint: u32, delta: Value) -> TxResult<()> {
         let x = self.stripe(hint);
         let v = ctx.read(x)?;
         ctx.write(x, v.wrapping_add(delta))
@@ -40,7 +41,7 @@ impl TxCounter {
 
     /// Consistent total across all stripes, inside the caller's
     /// transaction.
-    pub fn value_in(&self, ctx: &mut TxCtx<'_, '_>) -> TxResult<Value> {
+    pub fn value_in(&self, ctx: &mut TxCtx<'_>) -> TxResult<Value> {
         let mut sum = 0u64;
         for k in 0..self.n {
             sum = sum.wrapping_add(ctx.read(TVarId(self.stripes.0 + k))?);

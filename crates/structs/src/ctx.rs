@@ -1,235 +1,77 @@
-//! The transaction context collections operate in: one live transaction
-//! plus the STM it runs on (needed for mid-transaction allocation), with
-//! the bookkeeping that keeps dynamic t-variables from leaking:
-//!
-//! * node **retirement** ([`TxCtx::retire_block`]) is forwarded to the
-//!   transaction as a deferred commit effect — see
-//!   [`WordTx::retire_tvar_block`];
-//! * attempt-local **allocations** are recorded, and the retry loops here
-//!   free them when the attempt aborts. An aborted attempt's blocks were
-//!   never published (the write that would have linked them rolled back),
-//!   so no other transaction can hold their ids and the free is immediate
-//!   and safe. Without this, every aborted insert would leak a node.
+//! The collection-level entry points: [`atomically`] and its bounded
+//! variants run a [`TxCtx`] body through the sync driver
+//! ([`oftm_core::api::transact`]), which frees an aborted attempt's
+//! allocations (see [`TxCtx`]).
 
-use oftm_core::api::{retry_backoff, WordStm, WordTx};
+use oftm_core::api::{transact, TxCtx, TxOpts, WordStm};
 use oftm_core::{BudgetExceeded, TxResult};
-use oftm_histories::{TVarId, Value};
-use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
-use std::time::Instant;
 
-/// A live transaction paired with its STM.
-///
-/// Collection operations need both halves: reads, writes and retirement
-/// go through the transaction, while node allocation goes through the STM
-/// ([`WordStm::alloc_tvar_block`] is safe mid-transaction). `TxCtx` keeps
-/// the pair together so collection code cannot accidentally mix
-/// transactions from different STMs, and records the attempt's
-/// allocations for abort-path release.
-pub struct TxCtx<'a, 'b> {
-    stm: &'a dyn WordStm,
-    tx: &'a mut (dyn WordTx + 'b),
-    /// Blocks allocated by this attempt, freed by the retry loop if the
-    /// attempt does not commit.
-    allocs: Vec<(TVarId, usize)>,
-}
-
-impl<'a, 'b> TxCtx<'a, 'b> {
-    pub fn new(stm: &'a dyn WordStm, tx: &'a mut (dyn WordTx + 'b)) -> Self {
-        Self::with_alloc_buffer(stm, tx, Vec::new())
-    }
-
-    /// Like [`TxCtx::new`], but reusing a caller-owned allocation-log
-    /// buffer — the retry loop passes the same (cleared) buffer to every
-    /// attempt so steady-state retries allocate nothing.
-    pub fn with_alloc_buffer(
-        stm: &'a dyn WordStm,
-        tx: &'a mut (dyn WordTx + 'b),
-        allocs: Vec<(TVarId, usize)>,
-    ) -> Self {
-        debug_assert!(allocs.is_empty());
-        TxCtx { stm, tx, allocs }
-    }
-
-    /// The STM this context's transaction runs on.
-    pub fn stm(&self) -> &'a dyn WordStm {
-        self.stm
-    }
-
-    pub fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        self.tx.read(x)
-    }
-
-    pub fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
-        self.tx.write(x, v)
-    }
-
-    /// Allocates one fresh t-variable (see [`WordStm::alloc_tvar`]).
-    pub fn alloc(&mut self, initial: Value) -> TVarId {
-        self.alloc_block(std::slice::from_ref(&initial))
-    }
-
-    /// Allocates a contiguous block of fresh t-variables (a node). The
-    /// block is released automatically if this attempt aborts.
-    pub fn alloc_block(&mut self, initials: &[Value]) -> TVarId {
-        let base = self.stm.alloc_tvar_block(initials);
-        self.allocs.push((base, initials.len()));
-        base
-    }
-
-    /// Schedules an **unlinked** node's block for reclamation when this
-    /// transaction commits (discarded if it aborts). The caller must have
-    /// rewritten the node's single incoming link in this same transaction.
-    pub fn retire_block(&mut self, base: TVarId, len: usize) {
-        self.tx.retire_tvar_block(base, len);
-    }
-
-    /// Drains this attempt's allocation log (retry loops call this after
-    /// the body returns: on abort they free the logged blocks, on commit
-    /// they discard the log — the blocks are published). Public so the
-    /// async retry loop in `oftm-asyncrt` shares the exact abort-path
-    /// release semantics of [`atomically_budgeted`].
-    pub fn take_allocs(&mut self) -> Vec<(TVarId, usize)> {
-        std::mem::take(&mut self.allocs)
-    }
-}
-
-/// Frees blocks allocated by an attempt that did not commit, draining the
-/// log so its buffer can be reused. Safe to do immediately: the blocks
-/// were never published.
-fn release_attempt_allocs(stm: &dyn WordStm, allocs: &mut Vec<(TVarId, usize)>) {
-    for (base, len) in allocs.drain(..) {
-        stm.free_tvar_block(base, len);
-    }
-}
-
-/// Runs `body` in a retry-until-commit transaction with a [`TxCtx`] in
-/// scope — the collection-level `atomically`.
+/// Runs `body` in a retry-until-commit transaction, panicking if
+/// `u32::MAX` attempts abort. Kept as the collections' own unbounded
+/// entry point (their `insert`/`remove`/… wrap it) and for the benchmark
+/// client, which imports it.
 pub fn atomically<R>(
     stm: &dyn WordStm,
     proc: u32,
-    body: impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R>,
+    body: impl FnMut(&mut TxCtx<'_>) -> TxResult<R>,
 ) -> R {
-    match atomically_budgeted(stm, proc, u32::MAX, body) {
-        Ok((r, _)) => r,
-        // u32::MAX attempts without a commit is indistinguishable from a
-        // hang in practice; keep the unbounded signature but fail loudly.
-        Err(e) => panic!("atomically: {e}"),
-    }
+    transact(stm, proc, TxOpts::default(), body)
+        .unwrap_or_else(|e| panic!("atomically: {e}"))
+        .0
 }
 
-/// Like [`atomically`] but bounded: gives up after `max_attempts` aborted
-/// attempts. Returns the result together with the attempt count.
-///
-/// Mirrors [`oftm_core::run_transaction_with_budget`] (same randomized
-/// backoff schedule), with one collection-level addition: blocks the
-/// attempt allocated are freed when the attempt aborts, so abandoned
-/// nodes never accumulate in the variable table.
+/// Read-only [`atomically`] for the collections' queries: attempts run on
+/// [`WordStm::begin_ro`] (see [`TxOpts::ro`]).
+pub(crate) fn atomically_ro<R>(
+    stm: &dyn WordStm,
+    proc: u32,
+    body: impl FnMut(&mut TxCtx<'_>) -> TxResult<R>,
+) -> R {
+    let opts = TxOpts {
+        ro: true,
+        ..TxOpts::default()
+    };
+    transact(stm, proc, opts, body)
+        .unwrap_or_else(|e| panic!("atomically_ro: {e}"))
+        .0
+}
+
+/// [`transact`] with a budget of `max_attempts`. Kept because the
+/// benchmark client imports it.
 pub fn atomically_budgeted<R>(
     stm: &dyn WordStm,
     proc: u32,
     max_attempts: u32,
-    body: impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R>,
+    body: impl FnMut(&mut TxCtx<'_>) -> TxResult<R>,
 ) -> Result<(R, u32), BudgetExceeded> {
-    attempt_loop(stm, proc, max_attempts, false, body)
+    transact(
+        stm,
+        proc,
+        TxOpts {
+            ro: false,
+            budget: max_attempts,
+        },
+        body,
+    )
 }
 
-/// Read-only variant of [`atomically`]: attempts run on
-/// [`WordStm::begin_ro`], so backends take their cheapest consistent read
-/// path (wait-free per-read validation on TL/TL2, invisible scans on
-/// Algorithm 2 — see each backend's module docs). The body must not
-/// write or retire (backends panic if it does); allocation is likewise
-/// out of place in a read-only body.
-pub fn atomically_ro<R>(
-    stm: &dyn WordStm,
-    proc: u32,
-    body: impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R>,
-) -> R {
-    match atomically_ro_budgeted(stm, proc, u32::MAX, body) {
-        Ok((r, _)) => r,
-        Err(e) => panic!("atomically_ro: {e}"),
-    }
-}
-
-/// Like [`atomically_ro`] but bounded, returning the attempt count (the
-/// wait-free oracles assert on it).
+/// Read-only [`atomically_budgeted`]. Kept because the benchmark client
+/// imports it.
 pub fn atomically_ro_budgeted<R>(
     stm: &dyn WordStm,
     proc: u32,
     max_attempts: u32,
-    body: impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R>,
+    body: impl FnMut(&mut TxCtx<'_>) -> TxResult<R>,
 ) -> Result<(R, u32), BudgetExceeded> {
-    attempt_loop(stm, proc, max_attempts, true, body)
-}
-
-fn attempt_loop<R>(
-    stm: &dyn WordStm,
-    proc: u32,
-    max_attempts: u32,
-    ro: bool,
-    mut body: impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R>,
-) -> Result<(R, u32), BudgetExceeded> {
-    let mut attempts = 0;
-    // One allocation log for the whole retry loop: each attempt moves it
-    // into its `TxCtx` and hands it back (drained on abort), so retries
-    // reuse the same buffer.
-    let mut alloc_buf: Vec<(TVarId, usize)> = Vec::new();
-    let stats = stm.stats();
-    while attempts < max_attempts {
-        if attempts > 0 {
-            stats.incr(Counter::Retries);
-            retry_backoff(proc, attempts);
-        }
-        attempts += 1;
-        let started = Instant::now();
-        let mut tx = if ro {
-            stm.begin_ro(proc)
-        } else {
-            stm.begin(proc)
-        };
-        let (out, mut allocs) = {
-            let mut ctx =
-                TxCtx::with_alloc_buffer(stm, tx.as_mut(), std::mem::take(&mut alloc_buf));
-            let out = body(&mut ctx);
-            let allocs = ctx.take_allocs();
-            (out, allocs)
-        };
-        match out {
-            Ok(r) => match tx.try_commit() {
-                Ok(()) => {
-                    stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
-                    return Ok((r, attempts));
-                }
-                Err(_) => {
-                    stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
-                    release_attempt_allocs(stm, &mut allocs);
-                    alloc_buf = allocs;
-                }
-            },
-            Err(_) => {
-                // Drop (not tryA) the transaction, exactly like the core
-                // retry loop: the body already observed the abort event,
-                // an explicit tryA would record a second operation on a
-                // completed transaction. Backends settle themselves on
-                // drop. The drop also releases the grace slot before the
-                // blocks are freed below.
-                drop(tx);
-                stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
-                release_attempt_allocs(stm, &mut allocs);
-                alloc_buf = allocs;
-            }
-        }
-    }
-    // No single conflicting variable or aggressor: each spent attempt
-    // already tagged its own cause.
-    stats.abort_at(
-        AbortCause::BudgetExhausted,
-        VarAttr::NoVar,
-        pack_tx(proc, max_attempts),
-        TX_UNKNOWN,
-    );
-    Err(BudgetExceeded {
-        attempts: max_attempts,
-    })
+    transact(
+        stm,
+        proc,
+        TxOpts {
+            ro: true,
+            budget: max_attempts,
+        },
+        body,
+    )
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The sorted linked-list integer set — DSTM's original benchmark
 //! workload, over word t-variables.
 
-use crate::ctx::{atomically, atomically_ro, TxCtx};
-use crate::NIL;
+use crate::ctx::{atomically, atomically_ro};
+use crate::{TxCtx, NIL};
 use oftm_core::api::WordStm;
 use oftm_core::TxResult;
 use oftm_histories::{TVarId, Value};
@@ -40,7 +40,7 @@ impl TxIntSet {
     }
 
     /// Walks the sorted list to the first node with value ≥ `v`.
-    fn locate(&self, ctx: &mut TxCtx<'_, '_>, v: u64) -> TxResult<Locate> {
+    fn locate(&self, ctx: &mut TxCtx<'_>, v: u64) -> TxResult<Locate> {
         let mut prev_link = self.head;
         let mut cur = ctx.read(prev_link)?;
         while cur != NIL {
@@ -63,7 +63,7 @@ impl TxIntSet {
     }
 
     /// Inserts `v` inside the caller's transaction; `false` if present.
-    pub fn insert_in(&self, ctx: &mut TxCtx<'_, '_>, v: u64) -> TxResult<bool> {
+    pub fn insert_in(&self, ctx: &mut TxCtx<'_>, v: u64) -> TxResult<bool> {
         let loc = self.locate(ctx, v)?;
         if loc.cur_val == Some(v) {
             return Ok(false);
@@ -76,12 +76,12 @@ impl TxIntSet {
     /// Removes `v` inside the caller's transaction; `false` if absent.
     /// The unlinked node is retired: its two t-variables are reclaimed
     /// after this transaction commits and the grace period passes.
-    pub fn remove_in(&self, ctx: &mut TxCtx<'_, '_>, v: u64) -> TxResult<bool> {
+    pub fn remove_in(&self, ctx: &mut TxCtx<'_>, v: u64) -> TxResult<bool> {
         let loc = self.locate(ctx, v)?;
         if loc.cur != NIL && loc.cur_val == Some(v) {
             let after = ctx.read(TVarId(loc.cur + NXT))?;
             ctx.write(loc.prev_link, after)?;
-            ctx.retire_block(TVarId(loc.cur), 2);
+            ctx.retire_tvar_block(TVarId(loc.cur), 2);
             Ok(true)
         } else {
             Ok(false)
@@ -89,7 +89,7 @@ impl TxIntSet {
     }
 
     /// Membership test inside the caller's transaction.
-    pub fn contains_in(&self, ctx: &mut TxCtx<'_, '_>, v: u64) -> TxResult<bool> {
+    pub fn contains_in(&self, ctx: &mut TxCtx<'_>, v: u64) -> TxResult<bool> {
         let loc = self.locate(ctx, v)?;
         Ok(loc.cur_val == Some(v))
     }
@@ -97,7 +97,7 @@ impl TxIntSet {
     /// Number of elements, inside the caller's transaction. Walks the
     /// list counting links only — no values are read and no snapshot
     /// `Vec` is allocated.
-    pub fn count_in(&self, ctx: &mut TxCtx<'_, '_>) -> TxResult<usize> {
+    pub fn count_in(&self, ctx: &mut TxCtx<'_>) -> TxResult<usize> {
         let mut n = 0;
         let mut cur = ctx.read(self.head)?;
         while cur != NIL {
@@ -108,7 +108,7 @@ impl TxIntSet {
     }
 
     /// Consistent snapshot of the whole set, in list (= sorted) order.
-    pub fn snapshot_in(&self, ctx: &mut TxCtx<'_, '_>) -> TxResult<Vec<u64>> {
+    pub fn snapshot_in(&self, ctx: &mut TxCtx<'_>) -> TxResult<Vec<u64>> {
         let mut out = Vec::new();
         let mut cur = ctx.read(self.head)?;
         while cur != NIL {
@@ -129,7 +129,7 @@ impl TxIntSet {
     }
 
     /// Membership test in its own **read-only** transaction (the backend's
-    /// cheapest consistent read path — see [`atomically_ro`]).
+    /// cheapest consistent read path — see [`oftm_core::api::TxOpts::ro`]).
     pub fn contains(&self, stm: &dyn WordStm, proc: u32, v: u64) -> bool {
         atomically_ro(stm, proc, |ctx| self.contains_in(ctx, v))
     }

@@ -25,9 +25,9 @@
 //! always safe as the null pointer [`NIL`].
 //!
 //! Allocation is not a transactional effect at the STM level (DSTM's
-//! object-allocation semantics), but the retry loops here compensate:
-//! blocks allocated by an attempt that aborts are freed before the retry
-//! (they were never published, so the free is safe). Symmetrically,
+//! object-allocation semantics), but the drivers compensate: blocks
+//! allocated through [`TxCtx`] by an attempt that aborts are freed before
+//! the retry (they were never published, so the free is safe). Symmetrically,
 //! nodes *unlinked* by `remove`/`dequeue` are retired via
 //! [`WordTx::retire_tvar_block`] — reclaimed only after the unlinking
 //! transaction commits and every transaction in flight at that commit has
@@ -61,9 +61,10 @@ mod map;
 mod queue;
 
 pub use counter::TxCounter;
-pub use ctx::{atomically, atomically_budgeted, atomically_ro, atomically_ro_budgeted, TxCtx};
+pub use ctx::{atomically, atomically_budgeted, atomically_ro_budgeted};
 pub use intset::TxIntSet;
 pub use map::TxHashMap;
+pub use oftm_core::api::TxCtx;
 pub use queue::TxQueue;
 
 use oftm_histories::Value;

@@ -1,7 +1,7 @@
 //! A bucketed hash map (separate chaining) over word t-variables.
 
-use crate::ctx::{atomically, atomically_ro, TxCtx};
-use crate::{mix64, NIL};
+use crate::ctx::{atomically, atomically_ro};
+use crate::{mix64, TxCtx, NIL};
 use oftm_core::api::WordStm;
 use oftm_core::TxResult;
 use oftm_histories::{TVarId, Value};
@@ -40,7 +40,7 @@ impl TxHashMap {
 
     /// Walks `key`'s chain: returns the link pointing at the node holding
     /// `key` plus the node base, or the terminal link if absent.
-    fn locate(&self, ctx: &mut TxCtx<'_, '_>, key: u64) -> TxResult<(TVarId, Value)> {
+    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> TxResult<(TVarId, Value)> {
         let mut prev_link = self.bucket_of(key);
         let mut cur = ctx.read(prev_link)?;
         while cur != NIL {
@@ -55,12 +55,7 @@ impl TxHashMap {
 
     /// Inserts or updates `key ↦ value` inside the caller's transaction;
     /// returns the previous value if any.
-    pub fn put_in(
-        &self,
-        ctx: &mut TxCtx<'_, '_>,
-        key: u64,
-        value: Value,
-    ) -> TxResult<Option<Value>> {
+    pub fn put_in(&self, ctx: &mut TxCtx<'_>, key: u64, value: Value) -> TxResult<Option<Value>> {
         let (_, node) = self.locate(ctx, key)?;
         if node != NIL {
             let old = ctx.read(TVarId(node + VAL))?;
@@ -77,7 +72,7 @@ impl TxHashMap {
     /// Removes `key` inside the caller's transaction; returns its value.
     /// The unlinked node is retired: its three t-variables are reclaimed
     /// after this transaction commits and the grace period passes.
-    pub fn remove_in(&self, ctx: &mut TxCtx<'_, '_>, key: u64) -> TxResult<Option<Value>> {
+    pub fn remove_in(&self, ctx: &mut TxCtx<'_>, key: u64) -> TxResult<Option<Value>> {
         let (prev_link, node) = self.locate(ctx, key)?;
         if node == NIL {
             return Ok(None);
@@ -85,12 +80,12 @@ impl TxHashMap {
         let old = ctx.read(TVarId(node + VAL))?;
         let after = ctx.read(TVarId(node + NXT))?;
         ctx.write(prev_link, after)?;
-        ctx.retire_block(TVarId(node), 3);
+        ctx.retire_tvar_block(TVarId(node), 3);
         Ok(Some(old))
     }
 
     /// Looks `key` up inside the caller's transaction.
-    pub fn get_in(&self, ctx: &mut TxCtx<'_, '_>, key: u64) -> TxResult<Option<Value>> {
+    pub fn get_in(&self, ctx: &mut TxCtx<'_>, key: u64) -> TxResult<Option<Value>> {
         let (_, node) = self.locate(ctx, key)?;
         if node == NIL {
             Ok(None)
@@ -100,7 +95,7 @@ impl TxHashMap {
     }
 
     /// Consistent snapshot of all entries, sorted by key.
-    pub fn snapshot_in(&self, ctx: &mut TxCtx<'_, '_>) -> TxResult<Vec<(u64, Value)>> {
+    pub fn snapshot_in(&self, ctx: &mut TxCtx<'_>) -> TxResult<Vec<(u64, Value)>> {
         let mut out = Vec::new();
         for b in 0..self.nbuckets {
             let mut cur = ctx.read(TVarId(self.buckets.0 + b))?;

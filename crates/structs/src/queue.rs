@@ -1,7 +1,7 @@
 //! An MPMC FIFO queue over word t-variables.
 
-use crate::ctx::{atomically, atomically_ro, TxCtx};
-use crate::NIL;
+use crate::ctx::{atomically, atomically_ro};
+use crate::{TxCtx, NIL};
 use oftm_core::api::WordStm;
 use oftm_core::TxResult;
 use oftm_histories::{TVarId, Value};
@@ -37,7 +37,7 @@ impl TxQueue {
     }
 
     /// Appends `v` inside the caller's transaction.
-    pub fn enqueue_in(&self, ctx: &mut TxCtx<'_, '_>, v: Value) -> TxResult<()> {
+    pub fn enqueue_in(&self, ctx: &mut TxCtx<'_>, v: Value) -> TxResult<()> {
         let node = ctx.alloc_block(&[v, NIL]);
         let t = ctx.read(self.tail())?;
         if t == NIL {
@@ -51,7 +51,7 @@ impl TxQueue {
     /// Pops the front element inside the caller's transaction. The
     /// unlinked node is retired: its two t-variables are reclaimed after
     /// this transaction commits and the grace period passes.
-    pub fn dequeue_in(&self, ctx: &mut TxCtx<'_, '_>) -> TxResult<Option<Value>> {
+    pub fn dequeue_in(&self, ctx: &mut TxCtx<'_>) -> TxResult<Option<Value>> {
         let h = ctx.read(self.head())?;
         if h == NIL {
             return Ok(None);
@@ -62,12 +62,12 @@ impl TxQueue {
         if next == NIL {
             ctx.write(self.tail(), NIL)?;
         }
-        ctx.retire_block(TVarId(h), 2);
+        ctx.retire_tvar_block(TVarId(h), 2);
         Ok(Some(v))
     }
 
     /// Front-to-back snapshot inside the caller's transaction.
-    pub fn snapshot_in(&self, ctx: &mut TxCtx<'_, '_>) -> TxResult<Vec<Value>> {
+    pub fn snapshot_in(&self, ctx: &mut TxCtx<'_>) -> TxResult<Vec<Value>> {
         let mut out = Vec::new();
         let mut cur = ctx.read(self.head())?;
         while cur != NIL {

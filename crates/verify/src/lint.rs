@@ -659,7 +659,7 @@ fn collect_rs(dir: &Path, under_src: bool, out: &mut Vec<PathBuf>) -> std::io::R
 }
 
 /// Lints every `.rs` file under the `src/` trees of `root` (the workspace
-/// root: `root/src` plus `root/crates/*/…/src`), honouring [`SKIP_DIRS`].
+/// root: `root/src` plus `root/crates/*/…/src`), honouring `SKIP_DIRS`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     for top in ["src", "crates"] {

@@ -2,7 +2,7 @@
 //! [`oftm_core::kernel::SyncFacade`] so the production protocol kernels
 //! ([`oftm_core::kernel::NotifyProto`], [`oftm_core::kernel::GraceCore`])
 //! run under the model scheduler. Every operation calls
-//! [`super::step`]/[`super::step_blocked`] *before* executing, making it a
+//! `super::step`/`super::step_blocked` *before* executing, making it a
 //! scheduling decision point; the operation itself then runs atomically
 //! while the thread holds the token. All orderings collapse to `SeqCst`:
 //! the model explores sequentially consistent interleavings only.

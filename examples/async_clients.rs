@@ -14,7 +14,7 @@ use async_executor::Executor;
 use oftm::core::api::WordStm;
 use oftm::core::dstm::{Dstm, DstmWord};
 use oftm::histories::TVarId;
-use oftm::{atomically_async, run_transaction_async, TxIntSet};
+use oftm::{transact_async, TxIntSet, TxOpts};
 use std::sync::Arc;
 
 const COUNTER: TVarId = TVarId(0);
@@ -38,22 +38,24 @@ fn main() {
                     // A collection op and a counter bump, each its own
                     // parked-retry transaction.
                     let v = (u64::from(c) * 7 + i) % 32;
-                    let done = atomically_async(&*stm, c, move |ctx| {
+                    let done = transact_async(&*stm, c, TxOpts::default(), move |ctx| {
                         if i % 3 == 0 {
                             set.remove_in(ctx, v).map(|_| ())
                         } else {
                             set.insert_in(ctx, v).map(|_| ())
                         }
                     })
-                    .await;
+                    .await
+                    .expect("unbounded budget");
                     attempts += u64::from(done.attempts);
                     parks += u64::from(done.parks);
 
-                    let done = run_transaction_async(&*stm, c, |tx| {
+                    let done = transact_async(&*stm, c, TxOpts::default(), |tx| {
                         let n = tx.read(COUNTER)?;
                         tx.write(COUNTER, n + 1)
                     })
-                    .await;
+                    .await
+                    .expect("unbounded budget");
                     attempts += u64::from(done.attempts);
                     parks += u64::from(done.parks);
                 }

@@ -37,6 +37,12 @@
 //!   checker that exhaustively interleaves the production notify and
 //!   grace-period kernels ([`core::kernel`]).
 //!
+//! Word-level transactions, on any backend, run through one of two
+//! drivers: [`transact`] spins between aborted attempts and
+//! [`transact_async`] parks. Both take a [`TxCtx`] body and [`TxOpts`]
+//! (read-only or not, and the attempt budget); [`run_transaction`] is the
+//! unbounded read-write shorthand.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -72,10 +78,9 @@ pub use oftm_sim as sim;
 pub use oftm_structs as structs;
 pub use oftm_verify as verify;
 
-pub use oftm_asyncrt::{atomically_async, run_transaction_async};
+pub use oftm_asyncrt::transact_async;
 pub use oftm_core::{
-    run_transaction, run_transaction_with_budget, Dstm, DstmWord, Recorder, TVar, Tx, TxError,
-    TxResult,
+    run_transaction, transact, Dstm, DstmWord, Recorder, TVar, Tx, TxCtx, TxError, TxOpts, TxResult,
 };
 pub use oftm_foc::{CasFoc, EventualFoc, FoConsensus, OftmFoc, SplitterFoc};
 pub use oftm_histories::{History, TVarId, TxId};
